@@ -41,5 +41,5 @@ mod tape_ops_nn;
 mod tape_ops_shape;
 
 pub use grads::Grads;
-pub use op::Op;
+pub use op::{GroupList, Op};
 pub use tape::{Tape, Var};

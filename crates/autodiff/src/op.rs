@@ -78,22 +78,6 @@ pub enum Op {
     Dropout(Var, Tensor),
     /// Stacks rank-1 parents into the rows of a matrix.
     StackRows(Vec<Var>),
-    /// Batched matrix product of a window-stacked lhs against one
-    /// shared rhs: `[W·r, k] x [k, n] -> [W·r, n]`. Forward is a single
-    /// `matmul`; backward keeps the stacked gradient dense but defers
-    /// the shared rhs gradient as per-window pieces replayed in the
-    /// per-window graph's accumulation order. Fields: x, rhs, window
-    /// count, grouped-replay flag (see `Grads`' pending machinery).
-    BatchedMatmul(Var, Var, usize, bool),
-    /// Batched `x · rhsᵀ` against one shared rhs:
-    /// `[W·r, k] x [n, k]ᵀ -> [W·r, n]`. Fields: x, rhs, window count.
-    BatchedMatmulNT(Var, Var, usize),
-    /// Batched fused linear layer `x·wᵀ + bias` with shared weights:
-    /// `[W·r, k] x [out, k]ᵀ + [out]`. Fields: x, w, bias, window count.
-    BatchedAddmm(Var, Var, Var, usize),
-    /// Shared `[c]` row added to every row of a `[W·r, c]` stack.
-    /// Fields: m, row, window count.
-    BatchedAddRow(Var, Var, usize),
     /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
     /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. Fields:
     /// lhs, x, window count.
@@ -119,7 +103,7 @@ pub enum Op {
     /// replayed in the per-individual graph's accumulation order.
     /// Fields: x, per-group `(w, bias)` pairs, per-group window counts,
     /// rows per window block.
-    GroupLinear(Var, Vec<(Var, Var)>, Vec<usize>, usize),
+    GroupLinear(Var, GroupList<(Var, Var)>, GroupList<usize>, usize),
     /// Per-group matrix product of a cohort row stack against each
     /// group's own rhs: group `b` of `x: [Σ wins·rows, k]` times its
     /// `rhs_b: [k, n]`, giving `[Σ wins·rows, n]`. Backward keeps the
@@ -127,22 +111,54 @@ pub enum Op {
     /// per-window pieces. Fields: x, per-group rhs, per-group window
     /// counts, rows per window block, grouped-replay flag (see `Grads`'
     /// pending machinery).
-    GroupMatmul(Var, Vec<Var>, Vec<usize>, usize, bool),
+    GroupMatmul(Var, GroupList<Var>, GroupList<usize>, usize, bool),
     /// Per-group `x · rhsᵀ` against each group's own rhs: group `b` of
     /// `x: [Σ wins·rows, k]` times `rhs_b: [n, k]ᵀ`, giving
     /// `[Σ wins·rows, n]`. Fields: x, per-group rhs, per-group window
     /// counts, rows per window block.
-    GroupMatmulNT(Var, Vec<Var>, Vec<usize>, usize),
+    GroupMatmulNT(Var, GroupList<Var>, GroupList<usize>, usize),
     /// Each group's own `[c]` row added to every row of that group's
     /// block of a `[Σ wins·rows, c]` cohort stack. Fields: m, per-group
     /// rows, per-group window counts, rows per window block.
-    GroupAddRow(Var, Vec<Var>, Vec<usize>, usize),
+    GroupAddRow(Var, GroupList<Var>, GroupList<usize>, usize),
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// times each `[q, n]` window block of its slice of
     /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]` — the grouped twin of
     /// `BlockLhsMatmul` for per-individual graph constants. Fields:
     /// per-group lhs, x, per-group window counts.
-    GroupBlockLhsMatmul(Vec<Var>, Var, Vec<usize>),
+    GroupBlockLhsMatmul(GroupList<Var>, Var, GroupList<usize>),
+}
+
+/// A grouped op's per-group operands (parameters, constants or window
+/// counts), one entry per group. A one-group list — every
+/// single-individual fit — is stored inline, so recording it does not
+/// allocate.
+#[derive(Debug, Clone)]
+pub enum GroupList<T> {
+    /// Exactly one group.
+    One(T),
+    /// Any number of groups.
+    Many(Vec<T>),
+}
+
+impl<T: Copy> From<&[T]> for GroupList<T> {
+    fn from(items: &[T]) -> Self {
+        match items {
+            [one] => GroupList::One(*one),
+            _ => GroupList::Many(items.to_vec()),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for GroupList<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            GroupList::One(one) => std::slice::from_ref(one),
+            GroupList::Many(items) => items,
+        }
+    }
 }
 
 impl Op {
@@ -163,15 +179,10 @@ impl Op {
             | Op::MulRowBroadcast(a, b)
             | Op::HCat(a, b)
             | Op::VCat(a, b)
-            | Op::BatchedMatmul(a, b, _, _)
-            | Op::BatchedMatmulNT(a, b, _)
-            | Op::BatchedAddRow(a, b, _)
             | Op::BlockLhsMatmul(a, b, _)
             | Op::BlockMatmul(a, b, _)
             | Op::BlockMatmulNT(a, b, _) => vec![*a, *b],
-            Op::Addmm(a, b, c) | Op::GruCell(a, b, c) | Op::BatchedAddmm(a, b, c, _) => {
-                vec![*a, *b, *c]
-            }
+            Op::Addmm(a, b, c) | Op::GruCell(a, b, c) => vec![*a, *b, *c],
             Op::AddScalar(a, _)
             | Op::Scale(a, _)
             | Op::Transpose(a)
@@ -191,7 +202,7 @@ impl Op {
             Op::StackWindowBlocks(vars, _) => vars.clone(),
             Op::GroupLinear(x, params, _, _) => {
                 let mut out = vec![*x];
-                for &(w, b) in params {
+                for &(w, b) in params.iter() {
                     out.push(w);
                     out.push(b);
                 }
@@ -205,7 +216,7 @@ impl Op {
                 out
             }
             Op::GroupBlockLhsMatmul(lhses, x, _) => {
-                let mut out = lhses.clone();
+                let mut out = lhses.to_vec();
                 out.push(*x);
                 out
             }

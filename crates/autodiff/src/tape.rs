@@ -32,6 +32,17 @@ pub(crate) struct Node {
     pub op: Op,
 }
 
+/// Read access to the recorded node values (see
+/// [`Tape::compute_values`]).
+pub(crate) struct Values<'a>(&'a [Node]);
+
+impl<'a> Values<'a> {
+    /// The forward value of `v`.
+    pub(crate) fn get(&self, v: Var) -> &'a Tensor {
+        &self.0[v.0].value
+    }
+}
+
 /// A reverse-mode autodiff tape.
 ///
 /// Operations are methods taking `&self`; interior mutability keeps call
@@ -118,10 +129,29 @@ impl Tape {
         self.nodes.borrow()[v.0].value.dims().to_vec()
     }
 
+    /// The column count of matrix `v`, without allocating.
+    ///
+    /// # Panics
+    /// Panics if `v` is not a matrix.
+    #[must_use]
+    pub fn cols(&self, v: Var) -> usize {
+        let nodes = self.nodes.borrow();
+        let dims = nodes[v.0].value.dims();
+        assert_eq!(dims.len(), 2, "cols of a rank-{} value", dims.len());
+        dims[1]
+    }
+
     pub(crate) fn push(&self, value: Tensor, op: Op) -> Var {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node { value, op });
         Var(nodes.len() - 1)
+    }
+
+    /// Applies `f` with read access to every recorded value — for
+    /// grouped ops, whose operand count grows with the group count, so
+    /// recording one builds no operand list.
+    pub(crate) fn compute_values<R>(&self, f: impl FnOnce(Values<'_>) -> R) -> R {
+        f(Values(&self.nodes.borrow()))
     }
 
     /// Applies `f` to the values of `vars` and records the result.
@@ -293,7 +323,7 @@ impl Tape {
             let (parents, rest) = grads.split_at_mut(i);
             let (slot_i, later) = rest.split_first_mut().expect("slot exists");
             if !pending[i].is_empty() {
-                // Batched consumers above deposited deferred per-window
+                // Window-stacked consumers above deposited deferred per-window
                 // pieces for this node; replay them into the slot in the
                 // per-window graph's accumulation order before this
                 // node's own backward step reads it.
@@ -601,93 +631,6 @@ fn backward_one(
         Op::StackRows(ref vars) => {
             contribs.extend(vars.iter().enumerate().map(|(i, &v)| (v, g.row(i))));
         }
-        Op::BatchedMatmul(x, rhs, wins, grouped) => {
-            // Stacked lhs gradient batches the per-window `g_w · rhsᵀ`
-            // rows (row-identical to the per-window kernel); the shared
-            // rhs gradient is replayed per window at finalize time.
-            contribs.push((x, g.matmul_nt(val(rhs))));
-            deferred.push((
-                rhs,
-                PendingUse {
-                    kind: PendingKind::XtG,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped,
-                    g_rows: g.dims()[0] / wins,
-                    g_off: 0,
-                    x_rows: val(x).dims()[0] / wins,
-                    x_off: 0,
-                },
-            ));
-        }
-        Op::BatchedMatmulNT(x, rhs, wins) => {
-            contribs.push((x, g.matmul(val(rhs))));
-            deferred.push((
-                rhs,
-                PendingUse {
-                    kind: PendingKind::GtX,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped: false,
-                    g_rows: g.dims()[0] / wins,
-                    g_off: 0,
-                    x_rows: val(x).dims()[0] / wins,
-                    x_off: 0,
-                },
-            ));
-        }
-        Op::BatchedAddmm(x, w, bias, wins) => {
-            contribs.push((x, g.matmul(val(w))));
-            let g_rows = g.dims()[0] / wins;
-            deferred.push((
-                w,
-                PendingUse {
-                    kind: PendingKind::GtX,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped: false,
-                    g_rows,
-                    g_off: 0,
-                    x_rows: val(x).dims()[0] / wins,
-                    x_off: 0,
-                },
-            ));
-            deferred.push((
-                bias,
-                PendingUse {
-                    kind: PendingKind::ColSums,
-                    g_node: i,
-                    x_node: i,
-                    wins,
-                    grouped: false,
-                    g_rows,
-                    g_off: 0,
-                    x_rows: g_rows,
-                    x_off: 0,
-                },
-            ));
-        }
-        Op::BatchedAddRow(m, r, wins) => {
-            contribs.push((m, g.clone()));
-            let g_rows = g.dims()[0] / wins;
-            deferred.push((
-                r,
-                PendingUse {
-                    kind: PendingKind::ColSums,
-                    g_node: i,
-                    x_node: i,
-                    wins,
-                    grouped: false,
-                    g_rows,
-                    g_off: 0,
-                    x_rows: g_rows,
-                    x_off: 0,
-                },
-            ));
-        }
         Op::BlockLhsMatmul(lhs, x, wins) => {
             // Per-block dx_w = lhsᵀ · g_w (the per-window Matmul rhs
             // gradient, dense in the stack); shared lhs deferred. Like
@@ -783,8 +726,8 @@ fn backward_one(
         Op::GroupLinear(x, ref params, ref wins, block_rows) => {
             // Per group b: dx_b = g_b · w_b (dense in the stack, one
             // kernel call per group with the same (m, k, n) as the
-            // per-individual `Op::BatchedAddmm` dx, so the blocked-path
-            // decision — and every bit — matches the oracle), while
+            // one-group op on that individual alone, so the blocked-path
+            // decision — and every bit — matches it), while
             // w_b and bias_b gradients are deferred as per-window
             // pieces of `block_rows` rows anchored at the group's row
             // offset and replayed in the per-individual graph's
@@ -794,7 +737,7 @@ fn backward_one(
             let out_cols = out_value.dims()[1];
             let mut dx = pool::take_uninit(xv.len());
             let mut off = 0usize;
-            for (&(w, bias), &wb) in params.iter().zip(wins) {
+            for (&(w, bias), &wb) in params.iter().zip(wins.iter()) {
                 let r = wb * block_rows;
                 let g_b = &g.data()[off * out_cols..(off + r) * out_cols];
                 kernels::matmul_into(
@@ -839,7 +782,7 @@ fn backward_one(
         }
         Op::GroupMatmul(x, ref rhses, ref wins, block_rows, grouped) => {
             // Per group b: dx_b = g_b · rhs_bᵀ (dense, same (m, k, n)
-            // as the per-individual `Op::BatchedMatmul` dx); each
+            // as the one-group op on that individual alone); each
             // group's rhs gradient is deferred as per-window XᵀG pieces
             // anchored at the group's row offset.
             let xv = val(x);
@@ -847,7 +790,7 @@ fn backward_one(
             let n = out_value.dims()[1];
             let mut dx = pool::take_uninit(xv.len());
             let mut off = 0usize;
-            for (&rhs, &wb) in rhses.iter().zip(wins) {
+            for (&rhs, &wb) in rhses.iter().zip(wins.iter()) {
                 let r = wb * block_rows;
                 let g_b = &g.data()[off * n..(off + r) * n];
                 kernels::matmul_nt_into(
@@ -884,7 +827,7 @@ fn backward_one(
             let n = out_value.dims()[1];
             let mut dx = pool::take_uninit(xv.len());
             let mut off = 0usize;
-            for (&rhs, &wb) in rhses.iter().zip(wins) {
+            for (&rhs, &wb) in rhses.iter().zip(wins.iter()) {
                 let r = wb * block_rows;
                 let g_b = &g.data()[off * n..(off + r) * n];
                 kernels::matmul_into(
@@ -918,7 +861,7 @@ fn backward_one(
             // is deferred as per-window column sums over its block.
             contribs.push((m, g.clone()));
             let mut off = 0usize;
-            for (&row, &wb) in rows.iter().zip(wins) {
+            for (&row, &wb) in rows.iter().zip(wins.iter()) {
                 deferred.push((
                     row,
                     PendingUse {
@@ -949,7 +892,7 @@ fn backward_one(
             let (p, q) = (val(lhses[0]).dims()[0], val(lhses[0]).dims()[1]);
             let mut dx = pool::take_uninit(xv.len());
             let (mut xoff, mut goff) = (0usize, 0usize);
-            for (&lhs, &wb) in lhses.iter().zip(wins) {
+            for (&lhs, &wb) in lhses.iter().zip(wins.iter()) {
                 let lv = val(lhs);
                 let ghat = tape_ops_batched::gather_window_cols(
                     &g.data()[goff * n..(goff + wb * p) * n],

@@ -1,10 +1,10 @@
-//! Batched-window tape operations: one node per op across all windows.
-//!
-//! These power the batched forward path (`predict_batch` in
-//! `ema-models`): a window axis of `W` blocks is stacked into the row
-//! dimension, so an epoch records one node per model op instead of one
-//! per window per op. Every op here is **bit-identical** to its
-//! per-window twin in both directions:
+//! Window-block tape operations: ops whose operands are stacks of `W`
+//! window blocks along the row dimension and that have no per-group
+//! parameter (the grouped-operand ops in `tape_ops_group` cover those).
+//! The grouped forward path in `ema-models` uses them for shared
+//! constants (attention row averaging), blockwise attention products,
+//! stacking per-step states, and pre-drawn dropout masks. Every op here
+//! is **bit-identical** to its per-window twin in both directions:
 //!
 //! * forward — the matmul kernel contract (`ema_tensor::linalg`) makes
 //!   each output row's accumulation independent of the batch height,
@@ -12,78 +12,15 @@
 //!   blockwise ops run the per-window kernel per block outright;
 //! * backward — gradients along the stacked axis stay dense (row
 //!   blocks again match per window), while gradients of *shared*
-//!   operands (parameters, memoized constants) are deferred as
-//!   per-window pieces and replayed in the per-window graph's
-//!   accumulation order when the backward pass reaches the operand
-//!   (see the pending machinery in `Grads`/`Tape::backward_into`).
+//!   operands (memoized constants) are deferred as per-window pieces
+//!   and replayed in the per-window graph's accumulation order when the
+//!   backward pass reaches the operand (see the pending machinery in
+//!   `Grads`/`Tape::backward_into`).
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
 
 impl Tape {
-    /// Batched matrix product of a window-stacked lhs against one
-    /// shared rhs: `[W·r, k] x [k, n] -> [W·r, n]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_matmul(&self, x: Var, rhs: Var, wins: usize) -> Var {
-        let out = self.compute(|v| batched_rows_check(v[0], wins, v[0].matmul(v[1])), &[x, rhs]);
-        self.push(out, Op::BatchedMatmul(x, rhs, wins, false))
-    }
-
-    /// [`Tape::batched_matmul`] whose shared-rhs gradient pieces are
-    /// replayed *grouped*: each window's pieces fold into a temporary
-    /// before reaching the slot, replicating a per-window intermediate
-    /// node (e.g. a per-window transpose) in the reference graph.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_matmul_grouped(&self, x: Var, rhs: Var, wins: usize) -> Var {
-        let out = self.compute(|v| batched_rows_check(v[0], wins, v[0].matmul(v[1])), &[x, rhs]);
-        self.push(out, Op::BatchedMatmul(x, rhs, wins, true))
-    }
-
-    /// Batched `x · rhsᵀ` against one shared rhs:
-    /// `[W·r, k] x [n, k]ᵀ -> [W·r, n]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_matmul_nt(&self, x: Var, rhs: Var, wins: usize) -> Var {
-        let out = self.compute(|v| batched_rows_check(v[0], wins, v[0].matmul_nt(v[1])), &[x, rhs]);
-        self.push(out, Op::BatchedMatmulNT(x, rhs, wins))
-    }
-
-    /// Batched linear layer with shared weights: `x · wᵀ + bias` for
-    /// `x: [W·r, k]`, `w: [out, k]`, `bias: [out]`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_linear(&self, x: Var, w: Var, bias: Var, wins: usize) -> Var {
-        let out = self.compute(
-            |v| batched_rows_check(v[0], wins, v[0].addmm(v[1], v[2])),
-            &[x, w, bias],
-        );
-        self.push(out, Op::BatchedAddmm(x, w, bias, wins))
-    }
-
-    /// Adds one shared `[c]` row vector to every row of a `[W·r, c]`
-    /// window stack.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn batched_add_row_broadcast(&self, m: Var, row: Var, wins: usize) -> Var {
-        let out = self.compute(
-            |v| batched_rows_check(v[0], wins, v[0].add_row_broadcast(v[1])),
-            &[m, row],
-        );
-        self.push(out, Op::BatchedAddRow(m, row, wins))
-    }
-
     /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
     /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. The forward
     /// pass fuses all `W` products into **one** kernel call on a
@@ -217,7 +154,7 @@ impl Tape {
     }
 
     /// Applies a pre-drawn inverted-dropout mask (entries `0` or
-    /// `1/(1-p)`). The batched forward path draws all windows' masks
+    /// `1/(1-p)`). The grouped forward path draws all windows' masks
     /// up front in window-major order so the RNG consumes draws in
     /// exactly the per-window sequence (see `Tape::dropout`), then
     /// applies each via this op. Backward is identical to
@@ -235,19 +172,6 @@ impl Tape {
         );
         self.push(out, Op::Dropout(a, mask))
     }
-}
-
-/// Asserts the stacked row count divides into `wins` blocks and passes
-/// the computed output through.
-fn batched_rows_check(x: &Tensor, wins: usize, out: Tensor) -> Tensor {
-    assert!(wins > 0, "batched op needs at least one window");
-    assert_eq!(
-        x.dims()[0] % wins,
-        0,
-        "stacked rows {} not divisible by window count {wins}",
-        x.dims()[0]
-    );
-    out
 }
 
 /// Gathers a window stack `[W·r, n]` into the column-concatenated
@@ -301,9 +225,10 @@ mod tests {
         Tensor::rand_normal(dims, 0.0, 1.0, &mut rng)
     }
 
-    /// Runs the same computation per window on a reference tape and
-    /// asserts stacked values and every shared/stacked gradient match
-    /// bit for bit.
+    /// Runs a one-group (single-individual) window stack through the
+    /// grouped op and the same computation per window on a reference
+    /// tape, and asserts stacked values and every shared/stacked
+    /// gradient match bit for bit.
     #[test]
     fn batched_matmul_matches_per_window_graph() {
         let wins = 3;
@@ -314,7 +239,7 @@ mod tests {
         let tape = Tape::new();
         let x = tape.leaf(xv.clone());
         let rhs = tape.leaf(rhsv.clone());
-        let out = tape.batched_matmul(x, rhs, wins);
+        let out = tape.group_matmul(x, &[rhs], &[wins], r);
         let loss = tape.mean_all(tape.square(out));
         let grads = tape.backward(loss);
 
@@ -371,7 +296,7 @@ mod tests {
         let x = tape.leaf(xv.clone());
         let w = tape.leaf(wv.clone());
         let b = tape.leaf(bv.clone());
-        let out = tape.batched_linear(x, w, b, wins);
+        let out = tape.group_linear_blocks(x, &[(w, b)], &[wins], r);
         let loss = tape.mean_all(tape.square(out));
         let grads = tape.backward(loss);
 

@@ -573,6 +573,9 @@ fn grad_gru_cell_all_three_parents() {
     });
 }
 
+// The `grad_batched_*` checks cover the one-group grouped ops: the
+// window-batched layout of a single-individual fit.
+
 #[test]
 fn grad_batched_matmul_both_parents() {
     // 3 windows of 2 rows sharing one rhs.
@@ -580,13 +583,13 @@ fn grad_batched_matmul_both_parents() {
     let rhs = rand(&[4, 3], 81);
     assert_gradients_close(&x, TOL, |t, v| {
         let r = t.leaf(rhs.clone());
-        let p = t.batched_matmul(v, r, 3);
+        let p = t.group_matmul(v, &[r], &[3], 2);
         let sq = t.square(p);
         t.sum_all(sq)
     });
     assert_gradients_close(&rhs, TOL, |t, v| {
         let xl = t.leaf(x.clone());
-        let p = t.batched_matmul(xl, v, 3);
+        let p = t.group_matmul(xl, &[v], &[3], 2);
         let sq = t.square(p);
         t.sum_all(sq)
     });
@@ -601,7 +604,7 @@ fn grad_batched_matmul_grouped_replay() {
     let rhs = rand(&[4, 1], 83);
     assert_gradients_close(&rhs, TOL, |t, v| {
         let xl = t.leaf(x.clone());
-        let p = t.batched_matmul_grouped(xl, v, 3);
+        let p = t.group_matmul_grouped(xl, &[v], &[3], 2);
         let sq = t.square(p);
         t.sum_all(sq)
     });
@@ -613,13 +616,13 @@ fn grad_batched_matmul_nt_both_parents() {
     let rhs = rand(&[3, 4], 85);
     assert_gradients_close(&x, TOL, |t, v| {
         let r = t.leaf(rhs.clone());
-        let p = t.batched_matmul_nt(v, r, 2);
+        let p = t.group_matmul_nt(v, &[r], &[2], 3);
         let sq = t.square(p);
         t.sum_all(sq)
     });
     assert_gradients_close(&rhs, TOL, |t, v| {
         let xl = t.leaf(x.clone());
-        let p = t.batched_matmul_nt(xl, v, 2);
+        let p = t.group_matmul_nt(xl, &[v], &[2], 3);
         let sq = t.square(p);
         t.sum_all(sq)
     });
@@ -633,21 +636,21 @@ fn grad_batched_linear_all_three_parents() {
     assert_gradients_close(&x, TOL, |t, v| {
         let wl = t.leaf(w.clone());
         let bl = t.leaf(b.clone());
-        let y = t.batched_linear(v, wl, bl, 3);
+        let y = t.group_linear_blocks(v, &[(wl, bl)], &[3], 2);
         let sq = t.square(y);
         t.sum_all(sq)
     });
     assert_gradients_close(&w, TOL, |t, v| {
         let xl = t.leaf(x.clone());
         let bl = t.leaf(b.clone());
-        let y = t.batched_linear(xl, v, bl, 3);
+        let y = t.group_linear_blocks(xl, &[(v, bl)], &[3], 2);
         let sq = t.square(y);
         t.sum_all(sq)
     });
     assert_gradients_close(&b, TOL, |t, v| {
         let xl = t.leaf(x.clone());
         let wl = t.leaf(w.clone());
-        let y = t.batched_linear(xl, wl, v, 3);
+        let y = t.group_linear_blocks(xl, &[(wl, v)], &[3], 2);
         let sq = t.square(y);
         t.sum_all(sq)
     });
@@ -659,13 +662,13 @@ fn grad_batched_add_row_broadcast_both_parents() {
     let row = rand(&[3], 90);
     assert_gradients_close(&m, TOL, |t, v| {
         let r = t.leaf(row.clone());
-        let y = t.batched_add_row_broadcast(v, r, 3);
+        let y = t.group_add_row_broadcast(v, &[r], &[3], 2);
         let sq = t.square(y);
         t.sum_all(sq)
     });
     assert_gradients_close(&row, TOL, |t, v| {
         let ml = t.leaf(m.clone());
-        let y = t.batched_add_row_broadcast(ml, v, 3);
+        let y = t.group_add_row_broadcast(ml, &[v], &[3], 2);
         let sq = t.square(y);
         t.sum_all(sq)
     });

@@ -9,7 +9,7 @@ use ema_bench::Harness;
 use ema_core::{train_model, TrainConfig};
 use ema_data::{make_windows, split_train_test};
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, ForwardCtx, ModelConfig, ModelKind, WindowBatch};
+use ema_models::{build_model, CohortBatch, CohortCtx, ModelConfig, ModelKind};
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_obs::ObsMode;
 use ema_tensor::{Rng64, Tensor};
@@ -30,24 +30,25 @@ fn bench_epoch(c: &mut Harness) {
         let g = if kind.uses_graph() { Some(&graph) } else { None };
         let mut model = build_model(kind, V, SEQ, &ModelConfig::default(), g);
         let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
-        let mut drop_rng = Rng64::seed_from(2);
+        let mut drop_rng = [Rng64::seed_from(2)];
         // Persistent workspaces, exactly like `ema_core::train_model`:
         // the measured iteration is a *steady-state* epoch on the
-        // batched forward path (one tape graph over all windows) —
-        // tape node storage, gradient slots, the stacked window batch,
-        // the target-leaf tape prefix and pooled tensor buffers all
-        // carried over from the previous epoch.
+        // production forward path (one grouped tape graph over all
+        // windows of a one-member cohort) — tape node storage, gradient
+        // slots, the stacked window batch, the target-leaf tape prefix
+        // and pooled tensor buffers all carried over from the previous
+        // epoch.
         let mut tape = Tape::new();
         let mut grads = Grads::empty();
-        let batch = WindowBatch::from_windows(&windows.inputs);
+        let batch = CohortBatch::from_windows(&[&windows.inputs]);
         let tgt = tape.leaf(targets.clone());
         let keep = tape.len();
         c.bench_function(&format!("train_epoch_{}", kind.label()), |b| {
             b.iter(|| {
                 tape.reset_to(keep);
                 let binding = model.params().bind(&tape);
-                let mut ctx = ForwardCtx::train(&mut drop_rng);
-                let stacked = model.predict_batch(&tape, &binding, &batch, &mut ctx);
+                let mut ctx = CohortCtx::train(&mut drop_rng);
+                let stacked = model.predict_member(&tape, &binding, &batch, &mut ctx);
                 let loss = tape.mse(stacked, tgt);
                 tape.backward_into(loss, &mut grads);
                 adam.step(model.params_mut(), &binding, &grads);

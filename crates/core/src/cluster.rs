@@ -20,7 +20,7 @@
 //! **Determinism:** the plan is built once on the calling thread of
 //! [`crate::cohort::run_cohort_sharded`] before any shard job spawns —
 //! representative ids, medoids and checkpoints are identical at every
-//! thread count, shard size and [`crate::cohort::CohortPath`]. Cluster
+//! thread count and shard size. Cluster
 //! training seeds derive from `(run seed, medoid id)` exactly as the
 //! medoid's idiographic run would; fine-tune runs keep each
 //! individual's own derived stream (see the warm-start RNG contract on
@@ -32,16 +32,10 @@
 //! histogram.
 
 use crate::checkpoint::Checkpoint;
-use crate::cohort::{cohort_batch_supported, train_cohort};
+use crate::cohort::fit_shard;
 use crate::json::Json;
-use crate::pipeline::{graph_for_individual, run_individual, GraphSpec, IndividualOutcome, RunSpec};
-use crate::train::{train_model, TrainConfig};
-use ema_data::{make_windows, split_train_test, EmaGenerator, Individual};
-use ema_graph::AdjacencyMatrix;
-use ema_models::{
-    build_model, A3tgcn, Astgcn, CohortForecaster, LstmForecaster, ModelKind, Mtgnn,
-};
-use ema_obs::metrics::EPOCH_BUCKETS;
+use crate::pipeline::{run_one, IndividualOutcome, RunSpec};
+use ema_data::{split_train_test, EmaGenerator, Individual};
 use ema_obs::span;
 use ema_similarity::{
     argmin_distance, flatten_series, k_medoids, pairwise_series_distances, series_distance,
@@ -276,23 +270,12 @@ impl ClusterPlan {
             .expect("every planned cluster has a cached checkpoint")
     }
 
-    /// [`run_individual`] warm-started from this plan: assign from the
-    /// training split, then fine-tune from the cluster checkpoint —
-    /// the per-individual oracle of the batched warm path.
+    /// [`crate::pipeline::run_individual`] warm-started from this
+    /// plan: assign from the training split, then fine-tune from the
+    /// cluster checkpoint — a one-individual shard of the warm path.
     #[must_use]
     pub fn run_individual_warm(&self, id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
-        let (train, _) = split_train_test(data, spec.train_fraction);
-        let cluster = self.assign(&train);
-        let mut warm_spec = spec.clone();
-        warm_spec.train_config.epochs = self.fine_tune_epochs;
-        warm_spec.train_config.warm_start = Some(self.checkpoint(cluster));
-        let outcome = run_individual(id, data, &warm_spec);
-        ema_obs::recorder().observe(
-            "cluster.fine_tune_epochs",
-            &EPOCH_BUCKETS,
-            outcome.epochs_run as f64,
-        );
-        outcome
+        run_one(id, data, spec, Some(self))
     }
 }
 
@@ -300,8 +283,7 @@ impl ClusterPlan {
 /// [`TrainStrategy::ClusterWarmStart`]: sample representative
 /// individuals, cluster their training-split series with seeded
 /// K-medoids, train one model per cluster on the medoid individuals
-/// (via [`train_cohort`] where the model supports cohort batching,
-/// per-individual [`train_model`] otherwise), and cache the resulting
+/// (one cohort, as any shard trains), and cache the resulting
 /// checkpoints.
 ///
 /// # Panics
@@ -389,123 +371,32 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
     }
 }
 
-/// Trains one cluster model per medoid individual and captures its
-/// parameters. Cohort-batched where the model supports it, matching
-/// [`crate::cohort::run_cohort_batch`]'s model construction exactly;
-/// the VAR baseline falls back to per-individual [`train_model`].
+/// Trains one cluster model per medoid individual — as one shard,
+/// each medoid on its own graph and derived dropout stream exactly as
+/// its idiographic run would, for `cluster_epochs` — and captures its
+/// parameters.
 fn train_cluster_checkpoints(
     medoids: &[Individual],
     spec: &RunSpec,
     cluster_epochs: usize,
 ) -> Vec<Checkpoint> {
-    if !cohort_batch_supported(spec.model) {
-        return medoids
-            .iter()
-            .map(|ind| {
-                let (train, _) = split_train_test(&ind.data, spec.train_fraction);
-                let v = ind.data.dims()[1];
-                let graph = cluster_graph(&train, spec);
-                let mut model = build_model(
-                    spec.model,
-                    v,
-                    spec.seq_len,
-                    &spec.model_config,
-                    graph.as_ref(),
-                );
-                let windows = make_windows(&train, spec.seq_len);
-                let config = cluster_config(spec, cluster_epochs, ind.id);
-                let _ = train_model(&mut *model, &windows, &config);
-                Checkpoint::capture(model.params())
-            })
-            .collect();
-    }
-    match spec.model {
-        ModelKind::Lstm => train_cluster_as(medoids, spec, cluster_epochs, |v, _graph| {
-            LstmForecaster::new(v, &spec.model_config)
-        }),
-        ModelKind::A3tgcn => train_cluster_as(medoids, spec, cluster_epochs, |v, graph| {
-            A3tgcn::with_options(
-                v,
-                graph.expect("A3TGCN requires a graph"),
-                &spec.model_config,
-                spec.use_attention,
-            )
-        }),
-        ModelKind::Astgcn => train_cluster_as(medoids, spec, cluster_epochs, |v, graph| {
-            Astgcn::with_options(
-                v,
-                spec.seq_len,
-                graph.expect("ASTGCN requires a graph"),
-                &spec.model_config,
-                spec.use_spatial_attention,
-            )
-        }),
-        ModelKind::Mtgnn => train_cluster_as(medoids, spec, cluster_epochs, |v, graph| {
-            Mtgnn::with_learner(
-                v,
-                spec.seq_len,
-                graph,
-                &spec.model_config,
-                spec.learn_graph,
-                spec.graph_learner,
-            )
-        }),
-        ModelKind::Var => unreachable!("gated by cohort_batch_supported"),
-    }
-}
-
-/// The typed body of [`train_cluster_checkpoints`].
-fn train_cluster_as<M, F>(
-    medoids: &[Individual],
-    spec: &RunSpec,
-    cluster_epochs: usize,
-    build: F,
-) -> Vec<Checkpoint>
-where
-    M: CohortForecaster,
-    F: Fn(usize, Option<&AdjacencyMatrix>) -> M,
-{
-    let mut models = Vec::with_capacity(medoids.len());
-    let mut windows = Vec::with_capacity(medoids.len());
-    let mut configs = Vec::with_capacity(medoids.len());
-    for ind in medoids {
-        let (train, _) = split_train_test(&ind.data, spec.train_fraction);
-        let graph = cluster_graph(&train, spec);
-        models.push(build(ind.data.dims()[1], graph.as_ref()));
-        windows.push(make_windows(&train, spec.seq_len));
-        configs.push(cluster_config(spec, cluster_epochs, ind.id));
-    }
-    let _ = train_cohort(&mut models, &windows, &configs);
-    models.iter().map(|m| Checkpoint::capture(m.params())).collect()
-}
-
-/// The medoid's graph, built from its training split exactly as
-/// [`run_individual`] would.
-fn cluster_graph(train: &Tensor, spec: &RunSpec) -> Option<AdjacencyMatrix> {
-    match &spec.graph {
-        GraphSpec::None => None,
-        GraphSpec::Static { metric, gdt } => Some(graph_for_individual(train, *metric, *gdt)),
-        GraphSpec::Provided(g) => Some(g.clone()),
-    }
-}
-
-/// The cluster-training config for one medoid: the spec's
-/// hyper-parameters with the cluster epoch schedule and the medoid's
-/// own derived dropout stream (identical to its idiographic run's).
-fn cluster_config(spec: &RunSpec, cluster_epochs: usize, medoid_id: usize) -> TrainConfig {
-    let mut config = spec.train_config.clone();
-    config.epochs = cluster_epochs;
-    config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, medoid_id as u64);
-    config.warm_start = None;
-    config
+    let inputs: Vec<(usize, &Tensor)> = medoids.iter().map(|m| (m.id, &m.data)).collect();
+    fit_shard(&inputs, spec, &|_train, config| {
+        config.epochs = cluster_epochs;
+        config.warm_start = None;
+    })
+    .iter()
+    .map(|f| Checkpoint::capture(f.model.params()))
+    .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cohort::CohortPath;
+    use crate::pipeline::{run_individual, GraphSpec};
+    use crate::train::TrainConfig;
     use ema_data::GeneratorConfig;
-    use ema_models::ModelConfig;
+    use ema_models::{ModelConfig, ModelKind};
 
     fn warm_spec(model: ModelKind, graph: GraphSpec) -> RunSpec {
         RunSpec {
@@ -599,7 +490,6 @@ mod tests {
     fn sharded_warm_start_matches_per_individual_oracle() {
         let generator = generator();
         let spec = warm_spec(ModelKind::Lstm, GraphSpec::None);
-        let oracle_spec = RunSpec { cohort_path: CohortPath::PerIndividual, ..spec.clone() };
         let key = |outcomes: &[IndividualOutcome]| -> Vec<(usize, f64, f64, usize)> {
             outcomes
                 .iter()
@@ -608,7 +498,13 @@ mod tests {
         };
         let exec = crate::exec::Executor::sequential();
         let batched = crate::cohort::run_cohort_sharded(&generator, &spec, 3, &exec);
-        let oracle = crate::cohort::run_cohort_sharded(&generator, &oracle_spec, 2, &exec);
+        let plan = plan_clusters(&generator, &spec);
+        let oracle: Vec<IndividualOutcome> = generator
+            .generate()
+            .individuals
+            .iter()
+            .map(|ind| plan.run_individual_warm(ind.id, &ind.data, &spec))
+            .collect();
         assert_eq!(key(&batched), key(&oracle));
         // Fine-tuned runs are capped at the fine-tune schedule.
         assert!(batched.iter().all(|o| o.epochs_run <= 2));

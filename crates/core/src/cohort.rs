@@ -1,23 +1,21 @@
-//! Cohort-batched training: one tape graph per shard of B individuals,
+//! Cohort training: one tape graph per shard of B individuals,
 //! scheduled as streaming shard jobs on the [`crate::exec`] engine.
 //!
-//! [`train_cohort`] is the grouped-operand analog of
-//! [`crate::train::train_model`]: every epoch, all B individuals'
-//! windows forward through **one** tape graph
-//! ([`CohortForecaster::predict_cohort`]), per-individual MSE losses are
-//! summed into one scalar, and one backward pass yields every
-//! individual's gradients — bit-identical to B separate `train_model`
-//! runs (each loss node receives exactly the seed gradient `1.0`
-//! through the pairwise add chain, and every grouped op matches the
-//! per-individual op per row block; enforced by
+//! [`train_cohort`] trains B individuals in one loop: every epoch, all
+//! their windows forward through **one** tape graph
+//! ([`CohortForecaster::predict_cohort`]), per-individual MSE losses
+//! are summed into one scalar, and one backward pass yields every
+//! individual's gradients — bit-identical to B one-member runs of the
+//! same loop ([`crate::train::train_model`]), which in turn match the
+//! per-window oracle graph (enforced by
 //! `crates/models/tests/batched_equivalence.rs` and
 //! `tests/determinism.rs`).
 //!
-//! Per-individual state (Adam moments, RNG stream, early-stopping
-//! counters) stays per-individual: an individual that early-stops
-//! leaves the active group, the [`CohortBatch`] is rebuilt without it,
-//! and — per the cohort RNG contract — it stops consuming draws exactly
-//! as its standalone run would.
+//! `fit_shard` is the one place a run spec becomes models: it
+//! prepares each individual (split → graph → model → windows) and
+//! trains the shard with [`train_cohort`]. [`run_cohort_batch`],
+//! [`crate::pipeline::run_individual`] (a one-individual shard) and
+//! the cluster phase all go through it.
 //!
 //! [`run_cohort_sharded`] streams a synthetic study through the
 //! executor in shards of `shard_size` individuals: each shard job
@@ -25,49 +23,29 @@
 //! ([`EmaGenerator::generate_range`]), trains it as one cohort batch,
 //! evaluates, and drops the data — so peak memory is bounded by
 //! (workers × shard), not the study size. Results are byte-identical at
-//! every `(thread count, shard size)` pair and to the per-individual
-//! oracle ([`CohortPath::PerIndividual`]).
+//! every `(thread count, shard size)` pair; shard size 1 is
+//! per-individual training.
 
 use crate::cluster::{plan_clusters, ClusterPlan, TrainStrategy};
-use crate::evaluate::{evaluate_mse, evaluate_per_variable_mse};
+use crate::evaluate::evaluate_mses;
 use crate::exec::{expect_all, Executor, Job};
-use crate::pipeline::{graph_for_individual, run_individual, GraphSpec, IndividualOutcome, RunSpec};
-use crate::train::{TrainConfig, TrainReport};
-use ema_autodiff::{Grads, Tape};
-use ema_data::{make_test_windows, make_windows, split_train_test, EmaGenerator, Individual, WindowedData};
+use crate::pipeline::{graph_for_individual, GraphSpec, IndividualOutcome, RunSpec};
+use crate::train::{fit, TrainConfig, TrainReport};
+use ema_data::{
+    make_test_windows, make_windows, split_train_test, EmaGenerator, Individual, WindowedData,
+};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
-    A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, LstmForecaster, ModelKind, Mtgnn,
-    WindowBatch,
+    A3tgcn, Astgcn, CohortForecaster, Forecaster, LstmForecaster, ModelKind, Mtgnn, VarForecaster,
 };
-use ema_nn::{global_grad_norm, Adam, Binding, Optimizer, OptimizerConfig};
-use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
-use ema_obs::{point, span};
-use ema_tensor::Rng64;
-
-/// Which training path a sharded cohort run takes. Both paths are
-/// bit-identical in results (enforced by `tests/determinism.rs`); they
-/// differ only in tape-graph shape and throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CohortPath {
-    /// One tape graph per shard of B individuals via
-    /// [`CohortForecaster::predict_cohort`] — the hot path and the
-    /// default for models that implement it (LSTM, A3TGCN, ASTGCN and
-    /// MTGNN; see [`cohort_batch_supported`]; other models fall back to
-    /// the per-individual path and emit a `cohort_fallback` obs point).
-    #[default]
-    Batched,
-    /// One [`run_individual`] call per individual — the reference
-    /// oracle, kept for equivalence testing and for models without a
-    /// cohort forward.
-    PerIndividual,
-}
+use ema_obs::metrics::EPOCH_BUCKETS;
+use ema_obs::span;
+use ema_tensor::Tensor;
 
 /// Trains `models[b]` on `windows[b]` under `configs[b]` for every `b`,
-/// building one tape graph per epoch for the whole group. Bit-identical
-/// to calling [`crate::train::train_model`] once per individual (with
-/// the batched forward path), but with O(depth) tape nodes per epoch
-/// for the whole cohort instead of per individual.
+/// building one tape graph per epoch for the whole group, with O(depth)
+/// tape nodes per epoch for the whole cohort. Bit-identical to calling
+/// [`crate::train::train_model`] once per individual.
 ///
 /// All configs must agree on the kernel backend (one thread-local pin
 /// covers the shared graph).
@@ -88,316 +66,109 @@ pub fn train_cohort<M: CohortForecaster>(
     windows: &[WindowedData],
     configs: &[TrainConfig],
 ) -> Vec<TrainReport> {
-    let n = models.len();
-    assert!(n > 0, "cannot train an empty cohort");
-    assert_eq!(n, windows.len(), "one window set per model");
-    assert_eq!(n, configs.len(), "one config per model");
-    for (b, (w, c)) in windows.iter().zip(configs).enumerate() {
-        assert!(!w.is_empty(), "individual {b}: cannot train on zero windows");
-        assert!(
-            c.epochs > 0 || c.warm_start.is_some(),
-            "individual {b}: need at least one epoch (or a warm-start checkpoint)"
-        );
-        assert_eq!(
-            c.kernel_backend, configs[0].kernel_backend,
-            "individual {b}: cohort configs must share the kernel backend"
-        );
-    }
-    let _kernel = configs[0].kernel_backend.scoped();
-    let _span = span!("train_cohort", individuals = n);
-    let obs = ema_obs::recorder();
-
-    // Warm starts restore before the first epoch, exactly as
-    // `train_model` does.
-    for (model, config) in models.iter_mut().zip(configs) {
-        if let Some(ckpt) = &config.warm_start {
-            ckpt.restore(model.params_mut())
-                .expect("warm-start checkpoint must match the model architecture");
-        }
-    }
-
-    // The active group starts as every individual with a non-empty
-    // schedule; 0-epoch warm-start restores are finalized immediately
-    // with empty reports and never seed an RNG.
-    let init_idx: Vec<usize> = (0..n).filter(|&i| configs[i].epochs > 0).collect();
-    let mut reports: Vec<Option<TrainReport>> = (0..n)
-        .map(|i| {
-            (configs[i].epochs == 0).then(|| TrainReport {
-                losses: Vec::new(),
-                grad_norms: Vec::new(),
-                epochs_run: 0,
-                early_stopped: false,
-            })
-        })
-        .collect();
-    if init_idx.is_empty() {
-        return reports.into_iter().map(|r| r.expect("all restores")).collect();
-    }
-
-    // Per-individual state: `losses`/`grad_norms`/`best`/… are indexed
-    // by cohort position `i`; `rngs`/`adams` by *active* position and
-    // compacted alongside `act_idx`.
-    let batches: Vec<WindowBatch> =
-        windows.iter().map(|w| WindowBatch::from_windows(&w.inputs)).collect();
-    let mut adams: Vec<Adam> = init_idx
-        .iter()
-        .map(|&i| {
-            Adam::new(OptimizerConfig {
-                learning_rate: configs[i].learning_rate,
-                grad_clip: configs[i].grad_clip,
-                ..OptimizerConfig::default()
-            })
-        })
-        .collect();
-    let mut rngs: Vec<Rng64> =
-        init_idx.iter().map(|&i| Rng64::seed_from(configs[i].seed)).collect();
-    let mut losses: Vec<Vec<f64>> = configs.iter().map(|c| Vec::with_capacity(c.epochs)).collect();
-    let mut grad_norms: Vec<Vec<f64>> =
-        configs.iter().map(|c| Vec::with_capacity(c.epochs)).collect();
-    let mut best = vec![f64::INFINITY; n];
-    let mut since_best = vec![0usize; n];
-    let mut early_stopped = vec![false; n];
-
-    // One tape and one gradient workspace for the whole run; every
-    // individual's target matrix is a persistent tape prefix.
-    let mut tape = Tape::new();
-    let mut grads = Grads::empty();
-    let tgts: Vec<_> = windows.iter().map(|w| tape.leaf(w.targets_matrix())).collect();
-    let keep = tape.len();
-
-    // The active group: cohort positions still training, in stack
-    // order. `rngs`/`adams` are compacted alongside so the forward sees
-    // one contiguous RNG stream per *active* individual.
-    let mut act_idx = init_idx;
-    let mut cohort_batch =
-        CohortBatch::from_batches(&act_idx.iter().map(|&i| &batches[i]).collect::<Vec<_>>());
-    let mut epoch = 0usize;
-    while !act_idx.is_empty() {
-        tape.reset_to(keep);
-        let bindings: Vec<Binding> =
-            act_idx.iter().map(|&i| models[i].params().bind(&tape)).collect();
-        let out = {
-            let group: Vec<&M> = act_idx.iter().map(|&i| &models[i]).collect();
-            let binding_refs: Vec<&Binding> = bindings.iter().collect();
-            let mut ctx = CohortCtx::train(&mut rngs);
-            M::predict_cohort(&group, &tape, &binding_refs, &cohort_batch, &mut ctx)
-        };
-        // Per-individual MSE over each row block, summed pairwise: the
-        // add chain hands every loss node the seed gradient 1.0, so
-        // individual b's backward matches its standalone graph.
-        let mut loss_vars = Vec::with_capacity(act_idx.len());
-        let mut total = None;
-        for (pos, &i) in act_idx.iter().enumerate() {
-            let off = cohort_batch.offset(pos);
-            let wins = cohort_batch.group_wins()[pos];
-            let pred = tape.slice_rows(out, off, off + wins);
-            let l = tape.mse(pred, tgts[i]);
-            loss_vars.push(l);
-            total = Some(match total {
-                None => l,
-                Some(acc) => tape.add(acc, l),
-            });
-        }
-        tape.backward_into(total.expect("non-empty active group"), &mut grads);
-
-        let mut keep_mask = vec![true; act_idx.len()];
-        let mut total_loss = 0.0;
-        for (pos, &i) in act_idx.iter().enumerate() {
-            let config = &configs[i];
-            let loss_value = tape.value(loss_vars[pos]).data()[0];
-            losses[i].push(loss_value);
-            total_loss += loss_value;
-            let grad_norm = global_grad_norm(models[i].params(), &bindings[pos], &grads);
-            grad_norms[i].push(grad_norm);
-            adams[pos].step(models[i].params_mut(), &bindings[pos], &grads);
-            obs.observe("train_loss", &LOSS_BUCKETS, loss_value);
-
-            // Early stopping and schedule end, exactly as train_model
-            // decides them (the stopping epoch still takes its step).
-            if config.early_stop_rel > 0.0 {
-                if loss_value < best[i] * (1.0 - config.early_stop_rel) {
-                    best[i] = loss_value;
-                    since_best[i] = 0;
-                } else {
-                    since_best[i] += 1;
-                    if since_best[i] >= config.patience {
-                        early_stopped[i] = true;
-                        keep_mask[pos] = false;
-                        obs.inc_counter("early_stops", 1);
-                    }
-                }
-            }
-            if keep_mask[pos] && epoch + 1 >= config.epochs {
-                keep_mask[pos] = false;
-            }
-        }
-        point!(
-            "cohort_epoch",
-            epoch = epoch,
-            active = act_idx.len(),
-            loss_total = total_loss,
-            tape_nodes = tape.len()
-        );
-        obs.set_gauge("tape_nodes", tape.len() as f64);
-        epoch += 1;
-
-        // Finalize reports for individuals leaving the group, then
-        // compact the active-state vectors in lockstep and rebuild the
-        // stacked batch without them.
-        for (pos, &i) in act_idx.iter().enumerate() {
-            if !keep_mask[pos] {
-                let l = std::mem::take(&mut losses[i]);
-                let g = std::mem::take(&mut grad_norms[i]);
-                obs.observe("epochs_run", &EPOCH_BUCKETS, l.len() as f64);
-                obs.observe("grad_norm_final", &GRAD_NORM_BUCKETS, *g.last().expect("ran"));
-                reports[i] = Some(TrainReport {
-                    epochs_run: l.len(),
-                    early_stopped: early_stopped[i],
-                    losses: l,
-                    grad_norms: g,
-                });
-            }
-        }
-        if keep_mask.iter().any(|k| !k) {
-            let old_idx = std::mem::take(&mut act_idx);
-            let old_rngs = std::mem::take(&mut rngs);
-            let old_adams = std::mem::take(&mut adams);
-            for (((i, rng), adam), keep) in
-                old_idx.into_iter().zip(old_rngs).zip(old_adams).zip(&keep_mask)
-            {
-                if *keep {
-                    act_idx.push(i);
-                    rngs.push(rng);
-                    adams.push(adam);
-                }
-            }
-            if !act_idx.is_empty() {
-                let active_batches: Vec<&WindowBatch> =
-                    act_idx.iter().map(|&i| &batches[i]).collect();
-                cohort_batch = CohortBatch::from_batches(&active_batches);
-            }
-        }
-    }
-    ema_obs::drain_kernel_counters();
-    reports.into_iter().map(|r| r.expect("every individual finalized")).collect()
+    fit(models, windows, configs)
 }
 
-/// True when [`run_cohort_batch`] has a cohort-batched forward for this
-/// model kind. Everything that trains by gradient descent does (LSTM,
-/// A3TGCN, ASTGCN, MTGNN); the closed-form VAR baseline does not.
-#[must_use]
-pub fn cohort_batch_supported(model: ModelKind) -> bool {
-    !matches!(model, ModelKind::Var)
+/// One individual of a [`fit_shard`] call, trained and ready to
+/// evaluate.
+pub(crate) struct Fitted {
+    /// Study id.
+    pub id: usize,
+    /// The trained model.
+    pub model: Box<dyn Forecaster>,
+    /// What training did.
+    pub report: TrainReport,
+    /// Test windows (the test split, primed with the training tail).
+    pub test_windows: WindowedData,
+    /// The static graph used, after sparsification.
+    pub graph: Option<AdjacencyMatrix>,
 }
 
-/// Runs one shard of individuals through the cohort-batched path:
-/// per-individual split → graph → windows (as [`run_individual`] does),
-/// then one [`train_cohort`] call for the whole shard, then
-/// per-individual evaluation. Outcomes are bit-identical to
-/// [`run_individual`] on each member.
+/// Prepares every `(id, data)` individual as `spec` says — sequential
+/// split, graph from the training split only, model, windows, and a
+/// training config with the individual's own derived dropout stream —
+/// then trains them all as one cohort. `configure` may adjust each
+/// config from the individual's training split (cluster warm starts).
 ///
-/// # Panics
-/// Panics when the spec's model has no cohort forward (see
-/// [`cohort_batch_supported`]), or on the same data inconsistencies as
-/// [`run_individual`].
-#[must_use]
-pub fn run_cohort_batch(individuals: &[Individual], spec: &RunSpec) -> Vec<IndividualOutcome> {
-    run_cohort_batch_planned(individuals, spec, None)
-}
-
-/// [`run_cohort_batch`] with an optional cluster-warm-start plan: when
-/// present, every individual is assigned to its nearest cluster from
-/// the *training* split and fine-tuned from that cluster's checkpoint
-/// (`epochs = fine_tune_epochs`, `warm_start` from the cache) instead
-/// of training from scratch. [`run_cohort_sharded`] is the caller.
-pub(crate) fn run_cohort_batch_planned(
-    individuals: &[Individual],
+/// This is the single place a [`ModelKind`] becomes a model type.
+pub(crate) fn fit_shard(
+    individuals: &[(usize, &Tensor)],
     spec: &RunSpec,
-    plan: Option<&ClusterPlan>,
-) -> Vec<IndividualOutcome> {
-    assert!(
-        cohort_batch_supported(spec.model),
-        "no cohort-batched forward for {}",
-        spec.model.label()
-    );
+    configure: &dyn Fn(&Tensor, &mut TrainConfig),
+) -> Vec<Fitted> {
+    let config = &spec.model_config;
     match spec.model {
-        ModelKind::Lstm => run_cohort_batch_as(individuals, spec, plan, |v, _graph| {
-            LstmForecaster::new(v, &spec.model_config)
+        ModelKind::Lstm => {
+            fit_shard_as(individuals, spec, configure, |v, _| LstmForecaster::new(v, config))
+        }
+        ModelKind::A3tgcn => fit_shard_as(individuals, spec, configure, |v, graph| {
+            let graph = graph.expect("A3TGCN requires a graph");
+            A3tgcn::with_options(v, graph, config, spec.use_attention)
         }),
-        ModelKind::A3tgcn => run_cohort_batch_as(individuals, spec, plan, |v, graph| {
-            A3tgcn::with_options(
-                v,
-                graph.expect("A3TGCN requires a graph"),
-                &spec.model_config,
-                spec.use_attention,
-            )
+        ModelKind::Astgcn => fit_shard_as(individuals, spec, configure, |v, graph| {
+            let graph = graph.expect("ASTGCN requires a graph");
+            Astgcn::with_options(v, spec.seq_len, graph, config, spec.use_spatial_attention)
         }),
-        ModelKind::Astgcn => run_cohort_batch_as(individuals, spec, plan, |v, graph| {
-            Astgcn::with_options(
-                v,
-                spec.seq_len,
-                graph.expect("ASTGCN requires a graph"),
-                &spec.model_config,
-                spec.use_spatial_attention,
-            )
-        }),
-        ModelKind::Mtgnn => run_cohort_batch_as(individuals, spec, plan, |v, graph| {
+        ModelKind::Mtgnn => fit_shard_as(individuals, spec, configure, |v, graph| {
             Mtgnn::with_learner(
                 v,
                 spec.seq_len,
                 graph,
-                &spec.model_config,
+                config,
                 spec.learn_graph,
                 spec.graph_learner,
             )
         }),
-        ModelKind::Var => unreachable!("gated by cohort_batch_supported"),
+        ModelKind::Var => fit_shard_as(individuals, spec, configure, |v, _| {
+            VarForecaster::new(v, spec.seq_len, config)
+        }),
     }
 }
 
-/// The typed body of [`run_cohort_batch`]: `build` constructs each
-/// individual's model exactly as [`run_individual`] would.
-fn run_cohort_batch_as<M, F>(
-    individuals: &[Individual],
+/// The typed body of [`fit_shard`]: `build` constructs one
+/// individual's model from its variable count and graph.
+fn fit_shard_as<M, F>(
+    individuals: &[(usize, &Tensor)],
     spec: &RunSpec,
-    plan: Option<&ClusterPlan>,
+    configure: &dyn Fn(&Tensor, &mut TrainConfig),
     build: F,
-) -> Vec<IndividualOutcome>
+) -> Vec<Fitted>
 where
-    M: CohortForecaster,
+    M: CohortForecaster + 'static,
     F: Fn(usize, Option<&AdjacencyMatrix>) -> M,
 {
     assert!(!individuals.is_empty(), "empty shard");
-    let _kernel = spec.train_config.kernel_backend.scoped();
     let mut models = Vec::with_capacity(individuals.len());
     let mut train_windows = Vec::with_capacity(individuals.len());
     let mut configs = Vec::with_capacity(individuals.len());
     let mut test_windows = Vec::with_capacity(individuals.len());
     let mut graphs = Vec::with_capacity(individuals.len());
-    for ind in individuals {
-        let (train, test) = split_train_test(&ind.data, spec.train_fraction);
-        let v = ind.data.dims()[1];
-        // Graph built from training data only — recorded in the outcome
-        // even for models (LSTM) that ignore it.
+    for &(id, data) in individuals {
+        let (train, test) = split_train_test(data, spec.train_fraction);
+        // Graph built from training data only — no test leakage; it is
+        // recorded in the outcome even for models (LSTM) that ignore it.
         let graph = match &spec.graph {
             GraphSpec::None => None,
             GraphSpec::Static { metric, gdt } => {
+                let _graph_span = span!(
+                    "build_graph",
+                    individual = id,
+                    metric = metric.label(),
+                    gdt = gdt.label()
+                );
                 Some(graph_for_individual(&train, *metric, *gdt))
             }
             GraphSpec::Provided(g) => Some(g.clone()),
         };
-        models.push(build(v, graph.as_ref()));
+        models.push(build(data.dims()[1], graph.as_ref()));
         train_windows.push(make_windows(&train, spec.seq_len));
         test_windows.push(make_test_windows(&train, &test, spec.seq_len));
+        // Per-individual dropout stream: derived from (run seed, id) up
+        // front — never from draw order — so results are identical at
+        // any thread count and shard size.
         let mut config = spec.train_config.clone();
-        config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, ind.id as u64);
-        if let Some(plan) = plan {
-            // Cluster warm start: nearest medoid by training-split
-            // series distance, fine-tune schedule from the plan.
-            let cluster = plan.assign(&train);
-            config.epochs = plan.fine_tune_epochs;
-            config.warm_start = Some(plan.checkpoint(cluster));
-        }
+        config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, id as u64);
+        configure(&train, &mut config);
         configs.push(config);
         graphs.push(graph);
     }
@@ -406,19 +177,67 @@ where
         let _train_span = span!("train", individuals = individuals.len());
         train_cohort(&mut models, &train_windows, &configs)
     };
-
     individuals
         .iter()
-        .zip(&models)
-        .zip(&test_windows)
+        .zip(models)
         .zip(reports)
+        .zip(test_windows)
         .zip(graphs)
-        .map(|((((ind, model), test), report), graph)| {
-            let _eval_span = span!("evaluate", individual = ind.id, windows = test.len());
-            // Extract the learned graph from MTGNN for Experiment C,
-            // exactly as `run_individual` does.
+        .map(|(((((id, _), model), report), test_windows), graph)| Fitted {
+            id: *id,
+            model: Box::new(model),
+            report,
+            test_windows,
+            graph,
+        })
+        .collect()
+}
+
+/// Runs one shard of individuals through one [`train_cohort`] call,
+/// then evaluates each member. Outcomes are bit-identical to
+/// [`crate::pipeline::run_individual`] on each member.
+///
+/// # Panics
+/// Panics on an empty shard or the same data inconsistencies as
+/// [`crate::pipeline::run_individual`].
+#[must_use]
+pub fn run_cohort_batch(individuals: &[Individual], spec: &RunSpec) -> Vec<IndividualOutcome> {
+    let inputs: Vec<(usize, &Tensor)> = individuals.iter().map(|i| (i.id, &i.data)).collect();
+    run_cohort_batch_planned(&inputs, spec, None)
+}
+
+/// [`run_cohort_batch`] over `(id, data)` pairs with an optional
+/// cluster-warm-start plan: when present, every individual is assigned
+/// to its nearest cluster from the *training* split and fine-tuned from
+/// that cluster's checkpoint (`epochs = fine_tune_epochs`,
+/// `warm_start` from the cache) instead of training from scratch.
+pub(crate) fn run_cohort_batch_planned(
+    individuals: &[(usize, &Tensor)],
+    spec: &RunSpec,
+    plan: Option<&ClusterPlan>,
+) -> Vec<IndividualOutcome> {
+    // Pin the spec's kernel backend for the whole job — graph build and
+    // evaluation matmuls included, not just the training loop. Each
+    // shard job runs wholly on one executor worker thread, so this
+    // thread-local scope covers everything the job computes.
+    let _kernel = spec.train_config.kernel_backend.scoped();
+    let fitted = fit_shard(individuals, spec, &|train, config| {
+        if let Some(plan) = plan {
+            // Cluster warm start: nearest medoid by training-split
+            // series distance, fine-tune schedule from the plan.
+            let cluster = plan.assign(train);
+            config.epochs = plan.fine_tune_epochs;
+            config.warm_start = Some(plan.checkpoint(cluster));
+        }
+    });
+    fitted
+        .into_iter()
+        .map(|f| {
+            let _eval_span = span!("evaluate", individual = f.id, windows = f.test_windows.len());
+            // Extract the learned graph from MTGNN for Experiment C.
             let learned_graph = if spec.model == ModelKind::Mtgnn && spec.learn_graph {
-                let concrete = model
+                let concrete = f
+                    .model
                     .as_any_mtgnn()
                     .expect("MTGNN model exposes its learned graph");
                 Some(concrete.learned_graph())
@@ -429,20 +248,25 @@ where
                 ema_obs::recorder().observe(
                     "cluster.fine_tune_epochs",
                     &EPOCH_BUCKETS,
-                    report.epochs_run as f64,
+                    f.report.epochs_run as f64,
                 );
             }
+            let (mse, per_variable_mse) = evaluate_mses(&*f.model, &f.test_windows);
             let outcome = IndividualOutcome {
-                id: ind.id,
-                mse: evaluate_mse(model, test),
-                per_variable_mse: evaluate_per_variable_mse(model, test),
+                id: f.id,
+                mse,
+                per_variable_mse,
                 // 0.0 stands in for "no training loss" on a 0-epoch
                 // warm-start restore run (nomothetic serving).
-                final_train_loss: report.final_loss_or(0.0),
-                epochs_run: report.epochs_run,
-                graph_used: graph,
+                final_train_loss: f.report.final_loss_or(0.0),
+                epochs_run: f.report.epochs_run,
+                graph_used: f.graph,
                 learned_graph,
             };
+            // Kernel work from graph build + evaluation lands in the
+            // current phase before the job's span closes; take-semantics
+            // keep this and the executor's job-level drain from double
+            // counting.
             ema_obs::drain_kernel_counters();
             outcome
         })
@@ -451,15 +275,13 @@ where
 
 /// Streams a synthetic study through the executor in shards of
 /// `shard_size` individuals. Each shard becomes one [`Job`] that
-/// generates its slice of the study on the worker, runs it down the
-/// spec's [`CohortPath`] (batched where [`cohort_batch_supported`],
-/// per-individual otherwise — the fallback emits a `cohort_fallback`
-/// obs point and bumps the `exec.cohort_fallbacks` counter),
-/// and returns its outcomes; per-shard memory is dropped when the job
-/// ends, and warm pool buffers are handed across jobs by the executor.
+/// generates its slice of the study on the worker, trains it as one
+/// cohort ([`run_cohort_batch`]) and returns its outcomes; per-shard
+/// memory is dropped when the job ends, and warm pool buffers are
+/// handed across jobs by the executor.
 ///
 /// Results come back in individual order and are byte-identical at
-/// every `(thread count, shard size)` pair and across both paths.
+/// every `(thread count, shard size)` pair.
 ///
 /// # Panics
 /// Panics when `shard_size` is zero, or propagates the first shard
@@ -481,13 +303,6 @@ pub fn run_cohort_sharded(
         shard_size = shard_size,
         threads = executor.threads()
     );
-    let batched = spec.cohort_path == CohortPath::Batched && cohort_batch_supported(spec.model);
-    if spec.cohort_path == CohortPath::Batched && !batched {
-        // The hot path was requested but this model has no cohort
-        // forward: make the silent downgrade visible.
-        point!("cohort_fallback", model = spec.model.label());
-        ema_obs::recorder().inc_counter("exec.cohort_fallbacks", 1);
-    }
     // Cluster phase (when the strategy asks for it) runs once on the
     // calling thread before any shard job is spawned, so the plan — and
     // through it every result — is identical at every thread count.
@@ -506,17 +321,9 @@ pub fn run_cohort_sharded(
                 recorder.inc_counter("exec.shard_batches", 1);
                 recorder.inc_counter("exec.shard_individuals", (end - start) as u64);
                 let individuals = generator.generate_range(start, end);
-                if batched {
-                    run_cohort_batch_planned(&individuals, spec, plan)
-                } else {
-                    individuals
-                        .iter()
-                        .map(|ind| match plan {
-                            None => run_individual(ind.id, &ind.data, spec),
-                            Some(plan) => plan.run_individual_warm(ind.id, &ind.data, spec),
-                        })
-                        .collect()
-                }
+                let inputs: Vec<(usize, &Tensor)> =
+                    individuals.iter().map(|i| (i.id, &i.data)).collect();
+                run_cohort_batch_planned(&inputs, spec, plan)
             })
         })
         .collect();
@@ -526,6 +333,7 @@ pub fn run_cohort_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_individual;
     use crate::train::train_model;
     use ema_data::GeneratorConfig;
     use ema_models::{Forecaster, ModelConfig};
@@ -586,14 +394,18 @@ mod tests {
     fn sharded_outcomes_match_oracle_at_any_shard_size_and_thread_count() {
         let generator = generator();
         let spec = quick_spec();
-        let oracle_spec = RunSpec { cohort_path: CohortPath::PerIndividual, ..spec.clone() };
         let key = |outcomes: &[IndividualOutcome]| -> Vec<(usize, f64, f64, usize)> {
             outcomes
                 .iter()
                 .map(|o| (o.id, o.mse, o.final_train_loss, o.epochs_run))
                 .collect()
         };
-        let oracle = run_cohort_sharded(&generator, &oracle_spec, 1, &Executor::sequential());
+        let oracle: Vec<IndividualOutcome> = generator
+            .generate()
+            .individuals
+            .iter()
+            .map(|ind| run_individual(ind.id, &ind.data, &spec))
+            .collect();
         assert_eq!(oracle.len(), 5);
         for (shard_size, threads) in [(1, 1), (2, 2), (3, 4), (5, 1)] {
             let got = run_cohort_sharded(
@@ -631,15 +443,25 @@ mod tests {
         }
     }
 
+    /// The VAR baseline trains on the grouped path like every other
+    /// model: a 5-individual shard reproduces each member's own run.
     #[test]
-    #[should_panic(expected = "no cohort-batched forward")]
-    fn run_cohort_batch_rejects_var() {
+    fn run_cohort_batch_runs_var() {
         let ds = generator().generate();
         let spec = RunSpec {
             model_config: ModelConfig::tiny(0),
+            train_config: TrainConfig::quick(6, 3),
             ..RunSpec::new(ModelKind::Var, GraphSpec::None, 2)
         };
-        let _ = run_cohort_batch(&ds.individuals[..1], &spec);
+        let got = run_cohort_batch(&ds.individuals, &spec);
+        for (o, ind) in got.iter().zip(&ds.individuals) {
+            let want = run_individual(ind.id, &ind.data, &spec);
+            assert!(o.mse.is_finite(), "individual {} mse", ind.id);
+            assert_eq!(o.mse, want.mse, "individual {} mse", ind.id);
+            assert_eq!(o.per_variable_mse, want.per_variable_mse);
+            assert_eq!(o.final_train_loss, want.final_train_loss);
+            assert_eq!(o.epochs_run, want.epochs_run);
+        }
     }
 
     /// Every graph model's cohort-batched shard must reproduce

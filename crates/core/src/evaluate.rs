@@ -9,14 +9,20 @@ use ema_tensor::Tensor;
 /// the squared error averaged over all test time points and variables.
 #[must_use]
 pub fn evaluate_mse(model: &dyn Forecaster, windows: &WindowedData) -> f64 {
-    let preds = predict_all(model, windows, 0);
-    preds.mse(&windows.targets_matrix())
+    evaluate_mses(model, windows).0
 }
 
 /// Per-variable MSEs over a window set, length `V` — supports the
 /// paper's future-work note on per-variable error analysis.
 #[must_use]
 pub fn evaluate_per_variable_mse(model: &dyn Forecaster, windows: &WindowedData) -> Vec<f64> {
+    evaluate_mses(model, windows).1
+}
+
+/// [`evaluate_mse`] and [`evaluate_per_variable_mse`] from one
+/// evaluation forward.
+#[must_use]
+pub fn evaluate_mses(model: &dyn Forecaster, windows: &WindowedData) -> (f64, Vec<f64>) {
     let preds = predict_all(model, windows, 0);
     let targets = windows.targets_matrix();
     let (n, v) = (preds.dims()[0], preds.dims()[1]);
@@ -29,7 +35,7 @@ pub fn evaluate_per_variable_mse(model: &dyn Forecaster, windows: &WindowedData)
         }
         *slot = acc / n as f64;
     }
-    out
+    (preds.mse(&targets), out)
 }
 
 /// MSE of the naive persistence baseline (predict `x_t = x_{t-1}`) over
@@ -86,6 +92,7 @@ mod tests {
         let per_var = evaluate_per_variable_mse(&*model, &w);
         let mean: f64 = per_var.iter().sum::<f64>() / per_var.len() as f64;
         assert!((mean - total).abs() < 1e-9);
+        assert_eq!(evaluate_mses(&*model, &w), (total, per_var));
     }
 
     #[test]

@@ -139,7 +139,6 @@ impl ExperimentScale {
             graph_learner: ema_models::GraphLearnerKind::Embedding,
             use_attention: true,
             use_spatial_attention: true,
-            cohort_path: crate::cohort::CohortPath::default(),
             train_strategy: crate::cluster::TrainStrategy::default(),
         }
     }

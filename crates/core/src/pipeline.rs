@@ -1,17 +1,14 @@
 //! The personalized per-individual pipeline and its parallel cohort
 //! runner (scheduled by the [`crate::exec`] cohort execution engine).
 
-use crate::cluster::TrainStrategy;
-use crate::cohort::CohortPath;
-use crate::evaluate::{evaluate_mse, evaluate_per_variable_mse};
+use crate::cluster::{ClusterPlan, TrainStrategy};
+use crate::cohort::run_cohort_batch_planned;
 use crate::exec::{expect_all, Executor, Job};
-use crate::train::{train_model, TrainConfig};
-use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset};
+use crate::train::TrainConfig;
+use ema_data::EmaDataset;
 use ema_graph::sparsify::{sparsify, DensityThreshold};
 use ema_graph::AdjacencyMatrix;
-use ema_models::{
-    build_model, A3tgcn, Astgcn, Forecaster, GraphLearnerKind, ModelConfig, ModelKind, Mtgnn,
-};
+use ema_models::{GraphLearnerKind, ModelConfig, ModelKind};
 use ema_obs::span;
 use ema_similarity::{build_graph, GraphMetric};
 use ema_tensor::Tensor;
@@ -74,10 +71,6 @@ pub struct RunSpec {
     /// For ASTGCN: whether spatial attention masks the Chebyshev stack
     /// (disabled = plain-ChebNet ablation).
     pub use_spatial_attention: bool,
-    /// Which training path sharded cohort runs take
-    /// ([`crate::cohort::run_cohort_sharded`]): the cohort-batched
-    /// graph or the per-individual oracle. Bit-identical results.
-    pub cohort_path: CohortPath,
     /// How sharded cohort runs train each individual: from scratch
     /// (idiographic) or warm-started from K-medoids cluster
     /// checkpoints ([`crate::cluster`]). Only
@@ -102,7 +95,6 @@ impl RunSpec {
             graph_learner: GraphLearnerKind::Embedding,
             use_attention: true,
             use_spatial_attention: true,
-            cohort_path: CohortPath::default(),
             train_strategy: TrainStrategy::default(),
         }
     }
@@ -139,18 +131,25 @@ pub fn graph_for_individual(
 }
 
 /// Runs the full pipeline for one individual: split → graph → windows →
-/// train → evaluate.
+/// train → evaluate — a one-individual shard of
+/// [`crate::cohort::run_cohort_batch`].
 ///
 /// # Panics
 /// Panics when the series is too short for the requested window length
 /// or the spec is inconsistent (graph-free GNN).
 #[must_use]
 pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOutcome {
-    // Pin the spec's kernel backend for the whole job — graph build and
-    // evaluation matmuls included, not just the training loop. Each
-    // cohort job runs wholly on one executor worker thread, so this
-    // thread-local scope covers everything the job computes.
-    let _kernel = spec.train_config.kernel_backend.scoped();
+    run_one(id, data, spec, None)
+}
+
+/// [`run_individual`], fine-tuned from `plan`'s cluster checkpoints
+/// when one is given.
+pub(crate) fn run_one(
+    id: usize,
+    data: &Tensor,
+    spec: &RunSpec,
+    plan: Option<&ClusterPlan>,
+) -> IndividualOutcome {
     let _individual_span = span!(
         "individual",
         individual = id,
@@ -158,99 +157,9 @@ pub fn run_individual(id: usize, data: &Tensor, spec: &RunSpec) -> IndividualOut
         graph = spec.graph.label(),
         seq_len = spec.seq_len
     );
-    let (train, test) = split_train_test(data, spec.train_fraction);
-    let v = data.dims()[1];
-
-    // Graph built from training data only — no test leakage.
-    let graph = match &spec.graph {
-        GraphSpec::None => None,
-        GraphSpec::Static { metric, gdt } => {
-            let _graph_span = span!(
-                "build_graph",
-                individual = id,
-                metric = metric.label(),
-                gdt = gdt.label()
-            );
-            Some(graph_for_individual(&train, *metric, *gdt))
-        }
-        GraphSpec::Provided(g) => Some(g.clone()),
-    };
-
-    let mut model: Box<dyn Forecaster> = match spec.model {
-        ModelKind::Mtgnn => Box::new(Mtgnn::with_learner(
-            v,
-            spec.seq_len,
-            graph.as_ref(),
-            &spec.model_config,
-            spec.learn_graph,
-            spec.graph_learner,
-        )),
-        ModelKind::A3tgcn => Box::new(A3tgcn::with_options(
-            v,
-            graph.as_ref().expect("A3TGCN requires a graph"),
-            &spec.model_config,
-            spec.use_attention,
-        )),
-        ModelKind::Astgcn => Box::new(Astgcn::with_options(
-            v,
-            spec.seq_len,
-            graph.as_ref().expect("ASTGCN requires a graph"),
-            &spec.model_config,
-            spec.use_spatial_attention,
-        )),
-        _ => build_model(spec.model, v, spec.seq_len, &spec.model_config, graph.as_ref()),
-    };
-
-    let train_windows = make_windows(&train, spec.seq_len);
-    let test_windows = make_test_windows(&train, &test, spec.seq_len);
-
-    // Per-individual dropout stream: derived from (run seed, id) up
-    // front — never from draw order — so results are identical at any
-    // thread count (see the seeding scheme in ema_tensor::random).
-    let mut train_config = spec.train_config.clone();
-    train_config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, id as u64);
-    let report = {
-        let _train_span = span!("train", individual = id, windows = train_windows.len());
-        train_model(&mut *model, &train_windows, &train_config)
-    };
-
-    let (mse, per_variable_mse) = {
-        let _eval_span = span!("evaluate", individual = id, windows = test_windows.len());
-        (
-            evaluate_mse(&*model, &test_windows),
-            evaluate_per_variable_mse(&*model, &test_windows),
-        )
-    };
-
-    // Extract the learned graph from MTGNN for Experiment C.
-    let learned_graph = if spec.model == ModelKind::Mtgnn && spec.learn_graph {
-        // Rebuild as the concrete type to reach learned_graph(); the
-        // trait object was constructed above from the same path.
-        let concrete = model
-            .as_any_mtgnn()
-            .expect("MTGNN model exposes its learned graph");
-        Some(concrete.learned_graph())
-    } else {
-        None
-    };
-
-    // Kernel work from graph build + evaluation (training drained its
-    // own share already) lands in the current phase before the job's
-    // span closes; take-semantics keep this and the executor's
-    // job-level drain from double counting.
-    ema_obs::drain_kernel_counters();
-
-    IndividualOutcome {
-        id,
-        mse,
-        per_variable_mse,
-        // 0.0 stands in for "no training loss" on a 0-epoch
-        // warm-start restore run (nomothetic serving).
-        final_train_loss: report.final_loss_or(0.0),
-        epochs_run: report.epochs_run,
-        graph_used: graph,
-        learned_graph,
-    }
+    run_cohort_batch_planned(&[(id, data)], spec, plan)
+        .pop()
+        .expect("one outcome per individual")
 }
 
 /// Runs a condition across a whole cohort on the environment-configured

@@ -7,8 +7,8 @@
 //! per-node head maps to the 1-lag prediction.
 
 use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
-use crate::gcn::{gcn_layer, gcn_layer_batched, gcn_layer_grouped};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::gcn::{gcn_layer, gcn_layer_grouped};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{normalize, AdjacencyMatrix};
 use ema_nn::{Binding, Initializer, ParamId, ParamStore, TemporalAttention};
@@ -137,89 +137,32 @@ impl A3tgcn {
         tape.add(uh, c_minus_uc)
     }
 
-    /// [`A3tgcn::tgcn_step`] over `wins` window row-blocks:
-    /// `x: [W·V, 1]`, `h: [W·V, H]`, mirroring the per-window op order
-    /// exactly so every row block — and every parameter-gradient
-    /// accumulation — is bit-identical.
-    fn tgcn_step_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        a_hat: Var,
-        x: Var,
-        h: Var,
-        wins: usize,
-    ) -> Var {
-        let xh = tape.hcat(x, h); // [W·V, 1 + H]
-        let xh_prop = tape.block_lhs_matmul(a_hat, xh, wins); // [W·V, 1 + H]
-        let u_pre = tape.batched_linear(
-            xh_prop,
-            binding.var(self.update.w),
-            binding.var(self.update.b),
-            wins,
-        );
-        let u = tape.sigmoid(u_pre);
-        let r_pre = tape.batched_linear(
-            xh_prop,
-            binding.var(self.reset.w),
-            binding.var(self.reset.b),
-            wins,
-        );
-        let r = tape.sigmoid(r_pre);
-        let rh = tape.mul(r, h);
-        let xrh = tape.hcat(x, rh);
-        let c_pre = gcn_layer_batched(
-            tape,
-            a_hat,
-            xrh,
-            binding.var(self.candidate.w),
-            binding.var(self.candidate.b),
-            wins,
-        );
-        let c = tape.tanh(c_pre);
-        let uh = tape.mul(u, h);
-        let uc = tape.mul(u, c);
-        let c_minus_uc = tape.sub(c, uc);
-        tape.add(uh, c_minus_uc)
-    }
-
-    /// [`A3tgcn::tgcn_step_batched`] over a cohort stack: each
-    /// individual's window blocks propagate through its *own* `a_hat`
-    /// and gate parameters via the grouped ops, in the exact batched op
-    /// order so every row block is bit-identical.
-    #[allow(clippy::too_many_arguments)]
+    /// [`A3tgcn::tgcn_step`] over a cohort stack (`x: [Σ W_b·V, 1]`,
+    /// `h: [Σ W_b·V, H]`): each individual's window blocks propagate
+    /// through its *own* `a_hat` and gate parameters via the grouped
+    /// ops, in the per-window op order so every window block — and
+    /// every parameter-gradient accumulation — is bit-identical.
+    /// `gates` holds every individual's `(w, b)` for the update, reset
+    /// and candidate gates, in that order.
     fn tgcn_step_grouped(
-        group: &[&Self],
         tape: &Tape,
-        bindings: &[&Binding],
+        gates: &[Vec<(Var, Var)>; 3],
         a_hats: &[Var],
         x: Var,
         h: Var,
         group_wins: &[usize],
         v: usize,
     ) -> Var {
-        let pairs = |f: &dyn Fn(&Self) -> (ParamId, ParamId)| -> Vec<(Var, Var)> {
-            group
-                .iter()
-                .zip(bindings)
-                .map(|(m, bind)| {
-                    let (w, b) = f(m);
-                    (bind.var(w), bind.var(b))
-                })
-                .collect()
-        };
+        let [update, reset, candidate] = gates;
         let xh = tape.hcat(x, h); // [Σ W_b·V, 1 + H]
         let xh_prop = tape.group_block_lhs_matmul(a_hats, xh, group_wins);
-        let update = pairs(&|m| (m.update.w, m.update.b));
-        let u_pre = tape.group_linear_blocks(xh_prop, &update, group_wins, v);
+        let u_pre = tape.group_linear_blocks(xh_prop, update, group_wins, v);
         let u = tape.sigmoid(u_pre);
-        let reset = pairs(&|m| (m.reset.w, m.reset.b));
-        let r_pre = tape.group_linear_blocks(xh_prop, &reset, group_wins, v);
+        let r_pre = tape.group_linear_blocks(xh_prop, reset, group_wins, v);
         let r = tape.sigmoid(r_pre);
         let rh = tape.mul(r, h);
         let xrh = tape.hcat(x, rh);
-        let candidate = pairs(&|m| (m.candidate.w, m.candidate.b));
-        let c_pre = gcn_layer_grouped(tape, a_hats, xrh, &candidate, group_wins, v);
+        let c_pre = gcn_layer_grouped(tape, a_hats, xrh, candidate, group_wins, v);
         let c = tape.tanh(c_pre);
         let uh = tape.mul(u, h);
         let uc = tape.mul(u, c);
@@ -277,44 +220,14 @@ impl Forecaster for A3tgcn {
         tape.flatten(pred)
     }
 
-    fn predict_batch(
+    fn predict_member(
         &self,
         tape: &Tape,
         binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
+        batch: &CohortBatch,
+        ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(batch.num_vars(), self.num_variables, "batch width");
-        let wins = batch.wins();
-        let seq = batch.seq_len();
-        let v = self.num_variables;
-        let a_hat = ctx.memo("a3tgcn_a_hat", || tape.leaf(self.a_hat.clone()));
-        let mut h = ctx.memo("a3tgcn_h0", || {
-            tape.leaf(Tensor::zeros(&[wins * v, self.hidden]))
-        });
-        let mut states = Vec::with_capacity(seq);
-        for t in 0..seq {
-            // Step t's [W, V] rows reshape to the window-blocked
-            // [W·V, 1] node-feature column.
-            let x = tape.leaf(batch.step(t).reshaped(&[wins * v, 1]));
-            h = self.tgcn_step_batched(tape, binding, a_hat, x, h, wins);
-            states.push(h);
-        }
-        let ctx_state = if self.use_attention {
-            self.attention.forward_batched(tape, binding, &states, wins) // [W·V, H]
-        } else {
-            *states.last().expect("non-empty window")
-        };
-        // [W·V, H] mask rows are drawn window-major — the per-window
-        // draw sequence exactly.
-        let dropped = tape.dropout(ctx_state, self.dropout, ctx.training, ctx.rng);
-        let pred = tape.batched_linear(
-            dropped,
-            binding.var(self.head_w),
-            binding.var(self.head_b),
-            wins,
-        ); // [W·V, 1]
-        tape.reshape(pred, &[wins, v])
+        Self::predict_cohort(&[self], tape, &[binding], batch, ctx)
     }
 }
 
@@ -353,13 +266,25 @@ impl CohortForecaster for A3tgcn {
         // Per-individual propagation constants, in stack order — the
         // grouped block-lhs op applies each to its own window blocks.
         let a_hats: Vec<Var> = group.iter().map(|m| tape.leaf(m.a_hat.clone())).collect();
+        let gate_params = |gate: fn(&Self) -> &Gate| -> Vec<(Var, Var)> {
+            group
+                .iter()
+                .zip(bindings)
+                .map(|(m, bind)| (bind.var(gate(m).w), bind.var(gate(m).b)))
+                .collect()
+        };
+        let gates = [
+            gate_params(|m| &m.update),
+            gate_params(|m| &m.reset),
+            gate_params(|m| &m.candidate),
+        ];
         let mut h = tape.leaf(Tensor::zeros(&[total * v, first.hidden]));
         let mut states = Vec::with_capacity(seq);
         for t in 0..seq {
             // Step t's [Σ W_b, V] rows reshape to the window-blocked
             // [Σ W_b·V, 1] node-feature column, individual-major.
             let x = tape.leaf(batch.step(t).reshaped(&[total * v, 1]));
-            h = Self::tgcn_step_grouped(group, tape, bindings, &a_hats, x, h, group_wins, v);
+            h = Self::tgcn_step_grouped(tape, &gates, &a_hats, x, h, group_wins, v);
             states.push(h);
         }
         let ctx_state = if first.use_attention {
@@ -370,9 +295,7 @@ impl CohortForecaster for A3tgcn {
         };
         // Each individual's [W_b·V, H] mask rows come from its own
         // stream in the per-window (window-major) draw order.
-        let rates: Vec<f64> = group.iter().map(|m| m.dropout).collect();
-        let node_rows: Vec<usize> = group_wins.iter().map(|&w| w * v).collect();
-        let dropped = cohort_dropout(tape, ctx_state, &rates, &node_rows, ctx);
+        let dropped = cohort_dropout(tape, ctx_state, group, |m| m.dropout, group_wins, v, ctx);
         let heads: Vec<(Var, Var)> = group
             .iter()
             .zip(bindings)

@@ -12,7 +12,7 @@
 //! 4. a per-node affine head emits the 1-lag prediction.
 
 use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_graph::{chebyshev, AdjacencyMatrix};
 use ema_nn::{Binding, DilatedTemporalConv, Initializer, ParamId, ParamStore};
@@ -224,96 +224,14 @@ impl Forecaster for Astgcn {
         tape.flatten(pred) // [V]
     }
 
-    fn predict_batch(
+    fn predict_member(
         &self,
         tape: &Tape,
         binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
+        batch: &CohortBatch,
+        ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(batch.num_vars(), self.num_variables, "batch width");
-        assert_eq!(
-            batch.seq_len(),
-            self.seq_len,
-            "ASTGCN was built for seq_len {} but got {}",
-            self.seq_len,
-            batch.seq_len()
-        );
-        let wins = batch.wins();
-        let s = self.seq_len;
-        let v = self.num_variables;
-
-        // X blocks [V, s] (variables over time) and Xᵀ blocks [s, V]
-        // as two constant leaves — the per-window path's Transpose node
-        // only fed gradient back into the data leaf, so splitting the
-        // layouts loses nothing.
-        let x_all = tape.leaf(batch.stacked_transposed().clone()); // [W·V, s]
-        let xt_all = tape.leaf(batch.stacked().clone()); // [W·s, V]
-        // Temporal attention E per window: [s, s] blocks.
-        let u1 = tape.batched_matmul(xt_all, binding.var(self.ta_p1), wins); // [W·s, d]
-        let u2 = tape.batched_matmul(xt_all, binding.var(self.ta_p2), wins); // [W·s, d]
-        let e_pre = tape.block_matmul_nt(u1, u2, wins); // [W·s, s]
-        let e_act = tape.sigmoid(e_pre);
-        let e = tape.softmax_last(e_act);
-        let x_hat = tape.block_matmul_nt(x_all, e, wins); // [W·V, s]
-
-        // Spatial attention S per window: [V, V] blocks.
-        let e1 = tape.batched_matmul(x_all, binding.var(self.sa_w1), wins); // [W·V, d]
-        let e2 = tape.batched_matmul(x_all, binding.var(self.sa_w2), wins); // [W·V, d]
-        let s_pre = tape.block_matmul_nt(e1, e2, wins); // [W·V, V]
-        let s_act = tape.sigmoid(s_pre);
-        let s_attn = tape.softmax_last(s_act);
-
-        // Chebyshev constants tiled across windows so the elementwise
-        // mask and blockwise propagation line up per window.
-        let cheb_vars: Vec<Var> = self
-            .cheb
-            .iter()
-            .map(|t_k| {
-                let mut tiled = Vec::with_capacity(wins * v * v);
-                for _ in 0..wins {
-                    tiled.extend_from_slice(t_k.data());
-                }
-                tape.leaf(Tensor::from_vec(&[wins * v, v], tiled).expect("cheb tile"))
-            })
-            .collect();
-        let mut steps = Vec::with_capacity(s);
-        for t in 0..s {
-            let x_t = tape.slice_cols(x_hat, t, t + 1); // [W·V, 1]
-            let mut acc: Option<Var> = None;
-            for (k, &tk) in cheb_vars.iter().enumerate() {
-                let masked = if self.use_spatial_attention {
-                    tape.mul(tk, s_attn) // T_k ⊙ S per window
-                } else {
-                    tk
-                };
-                let prop = tape.block_matmul(masked, x_t, wins); // [W·V, 1]
-                let term = tape.batched_matmul_nt(prop, binding.var(self.cheb_w[k]), wins); // [W·V, F]
-                acc = Some(match acc {
-                    Some(a) => tape.add(a, term),
-                    None => term,
-                });
-            }
-            let summed = acc.expect("K >= 1");
-            let biased = tape.batched_add_row_broadcast(summed, binding.var(self.cheb_b), wins);
-            steps.push(tape.relu(biased));
-        }
-
-        let conv_out = self.temporal.forward_batched(tape, binding, &steps, wins);
-        let conv_last = *conv_out.last().expect("non-empty conv output");
-        let x_last = tape.slice_cols(x_all, s - 1, s); // [W·V, 1]
-        let residual = tape.batched_matmul_nt(x_last, binding.var(self.res_w), wins); // [W·V, F]
-        let combined = tape.add(conv_last, residual);
-        // [W·V, F] mask rows are drawn window-major — the per-window
-        // draw sequence exactly.
-        let dropped = tape.dropout(combined, self.dropout, ctx.training, ctx.rng);
-        let pred = tape.batched_linear(
-            dropped,
-            binding.var(self.head_w),
-            binding.var(self.head_b),
-            wins,
-        ); // [W·V, 1]
-        tape.reshape(pred, &[wins, v])
+        Self::predict_cohort(&[self], tape, &[binding], batch, ctx)
     }
 }
 
@@ -397,27 +315,28 @@ impl CohortForecaster for Astgcn {
                 tape.leaf(Tensor::from_vec(&[total * v, v], tiled).expect("cheb tile"))
             })
             .collect();
+        let cheb_ws: Vec<Vec<Var>> =
+            (0..first.cheb.len()).map(|k| vars(&|m| m.cheb_w[k])).collect();
+        let cheb_bs = vars(&|m| m.cheb_b);
         let mut steps = Vec::with_capacity(s);
         for t in 0..s {
             let x_t = tape.slice_cols(x_hat, t, t + 1); // [ΣW·V, 1]
             let mut acc: Option<Var> = None;
-            for (k, &tk) in cheb_vars.iter().enumerate() {
+            for (&tk, cheb_w) in cheb_vars.iter().zip(&cheb_ws) {
                 let masked = if first.use_spatial_attention {
                     tape.mul(tk, s_attn) // T_k ⊙ S per window
                 } else {
                     tk
                 };
                 let prop = tape.block_matmul(masked, x_t, total); // [ΣW·V, 1]
-                let term =
-                    tape.group_matmul_nt(prop, &vars(&|m| m.cheb_w[k]), group_wins, v); // [ΣW·V, F]
+                let term = tape.group_matmul_nt(prop, cheb_w, group_wins, v); // [ΣW·V, F]
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
                     None => term,
                 });
             }
             let summed = acc.expect("K >= 1");
-            let biased =
-                tape.group_add_row_broadcast(summed, &vars(&|m| m.cheb_b), group_wins, v);
+            let biased = tape.group_add_row_broadcast(summed, &cheb_bs, group_wins, v);
             steps.push(tape.relu(biased));
         }
 
@@ -430,9 +349,7 @@ impl CohortForecaster for Astgcn {
         let combined = tape.add(conv_last, residual);
         // Each individual's [W_b·V, F] mask rows come from its own
         // stream in the per-window (window-major) draw order.
-        let rates: Vec<f64> = group.iter().map(|m| m.dropout).collect();
-        let node_rows: Vec<usize> = group_wins.iter().map(|&w| w * v).collect();
-        let dropped = cohort_dropout(tape, combined, &rates, &node_rows, ctx);
+        let dropped = cohort_dropout(tape, combined, group, |m| m.dropout, group_wins, v, ctx);
         let heads: Vec<(Var, Var)> = group
             .iter()
             .zip(bindings)

@@ -1,25 +1,28 @@
 //! Cohort batching: one tape graph per B individuals.
 //!
-//! A [`CohortBatch`] row-stacks B individuals' [`WindowBatch`]es into
-//! one operand set, **individual-major then window-major**: step `t` is
-//! the `[Σ_b W_b, V]` concatenation of each individual's `[W_b, V]`
-//! step rows. Models implementing [`CohortForecaster`] run the whole
+//! A [`CohortBatch`] row-stacks B individuals' windows into one operand
+//! set, **individual-major then window-major**: step `t` is the
+//! `[Σ_b W_b, V]` concatenation of each individual's window rows at
+//! step `t`. Models implementing [`CohortForecaster`] run the whole
 //! group through one forward graph using grouped-operand tape ops
 //! (`Tape::group_linear`), with each individual keeping its own
 //! parameters; row block `b` of the output is bit-identical to
-//! [`Forecaster::predict_batch`] on that individual alone.
+//! [`Forecaster::predict_window`] on each of that individual's windows
+//! alone. A single-individual fit is the one-member case
+//! ([`Forecaster::predict_member`]).
 //!
 //! **RNG contract:** randomness (dropout masks) is consumed
 //! individual-major — group `b` draws exactly the sequence its
-//! standalone forward would draw, from its own stream in
-//! [`CohortCtx::rngs`], so batching individuals never changes numbers.
+//! per-window forward would draw (window-major), from its own stream
+//! in [`CohortCtx::rngs`], so batching individuals never changes
+//! numbers.
 
-use crate::{Forecaster, WindowBatch};
+use crate::Forecaster;
 use ema_autodiff::{Tape, Var};
 use ema_nn::Binding;
 use ema_tensor::{Rng64, Tensor};
 
-/// B individuals' window batches row-stacked into one operand set.
+/// B individuals' windows row-stacked into one operand set.
 ///
 /// Rebuilt whenever the active group changes (e.g. an individual
 /// early-stops out of a training cohort): the stacking is an input
@@ -30,55 +33,58 @@ pub struct CohortBatch {
     offsets: Vec<usize>,
     seq_len: usize,
     num_vars: usize,
-    /// `steps[t]` is `[Σ_b W_b, V]`: individual-major concatenation of
-    /// each batch's window-major step rows.
+    /// `steps[t]` is `[Σ_b W_b, V]`: row `w` of block `b` is window
+    /// `w` of individual `b` at step `t`.
     steps: Vec<Tensor>,
-    /// `[Σ_b W_b·s, V]`: individual-major concatenation of each batch's
-    /// window-stacked rows (`WindowBatch::stacked`).
+    /// `[Σ_b W_b·s, V]`: every window's `[s, V]` rows, in stack order.
     stacked: Tensor,
-    /// `[Σ_b W_b·V, s]`: individual-major concatenation of each batch's
-    /// transposed window stacks (`WindowBatch::stacked_transposed`).
+    /// `[Σ_b W_b·V, s]`: every window transposed (variables over
+    /// time), in stack order.
     stacked_transposed: Tensor,
 }
 
 impl CohortBatch {
-    /// Stacks the given window batches. All batches must agree on
-    /// `seq_len` and `num_vars` and be non-empty.
+    /// Stacks each member's `[s, V]` windows. All windows must share
+    /// one shape and every member needs at least one window.
     ///
     /// # Panics
-    /// Panics on an empty cohort, an empty member batch, or
-    /// mismatched window geometry.
+    /// Panics on an empty cohort, an empty member, or mismatched
+    /// window geometry.
     #[must_use]
-    pub fn from_batches(batches: &[&WindowBatch]) -> Self {
-        assert!(!batches.is_empty(), "cohort batch needs at least one individual");
-        let seq_len = batches[0].seq_len();
-        let num_vars = batches[0].num_vars();
-        let mut group_wins = Vec::with_capacity(batches.len());
-        let mut offsets = Vec::with_capacity(batches.len() + 1);
+    pub fn from_windows(members: &[&[Tensor]]) -> Self {
+        assert!(!members.is_empty(), "cohort batch needs at least one individual");
+        let first = members[0].first().expect("individual 0 has zero windows");
+        assert_eq!(first.rank(), 2, "windows must be [seq, V]");
+        let (seq_len, num_vars) = (first.dims()[0], first.dims()[1]);
+        let mut group_wins = Vec::with_capacity(members.len());
+        let mut offsets = Vec::with_capacity(members.len() + 1);
         let mut total = 0usize;
-        for (b, batch) in batches.iter().enumerate() {
-            assert_eq!(batch.seq_len(), seq_len, "individual {b} seq_len mismatch");
-            assert_eq!(batch.num_vars(), num_vars, "individual {b} num_vars mismatch");
-            assert!(batch.wins() > 0, "individual {b} has zero windows");
+        for (b, windows) in members.iter().enumerate() {
+            assert!(!windows.is_empty(), "individual {b} has zero windows");
+            for win in windows.iter() {
+                assert_eq!(win.dims()[0], seq_len, "individual {b} seq_len mismatch");
+                assert_eq!(win.dims()[1], num_vars, "individual {b} num_vars mismatch");
+            }
             offsets.push(total);
-            group_wins.push(batch.wins());
-            total += batch.wins();
+            group_wins.push(windows.len());
+            total += windows.len();
         }
         offsets.push(total);
+        let windows = || members.iter().flat_map(|m| m.iter());
         let steps = (0..seq_len)
             .map(|t| {
                 let mut data = Vec::with_capacity(total * num_vars);
-                for batch in batches {
-                    data.extend_from_slice(batch.step(t).data());
+                for win in windows() {
+                    data.extend_from_slice(win.row(t).data());
                 }
                 Tensor::from_vec(&[total, num_vars], data).expect("cohort step shape")
             })
             .collect();
         let mut stacked = Vec::with_capacity(total * seq_len * num_vars);
         let mut stacked_t = Vec::with_capacity(total * num_vars * seq_len);
-        for batch in batches {
-            stacked.extend_from_slice(batch.stacked().data());
-            stacked_t.extend_from_slice(batch.stacked_transposed().data());
+        for win in windows() {
+            stacked.extend_from_slice(win.data());
+            stacked_t.extend_from_slice(win.transpose().data());
         }
         let stacked = Tensor::from_vec(&[total * seq_len, num_vars], stacked)
             .expect("cohort stacked shape");
@@ -137,15 +143,13 @@ impl CohortBatch {
         &self.steps[t]
     }
 
-    /// The whole cohort's window rows: `[Σ_b W_b·s, V]`,
-    /// individual-major concatenation of each `WindowBatch::stacked`.
+    /// The whole cohort's window rows: `[Σ_b W_b·s, V]`.
     #[must_use]
     pub fn stacked(&self) -> &Tensor {
         &self.stacked
     }
 
-    /// Transposed window blocks: `[Σ_b W_b·V, s]`, individual-major
-    /// concatenation of each `WindowBatch::stacked_transposed`.
+    /// Transposed window blocks: `[Σ_b W_b·V, s]`.
     #[must_use]
     pub fn stacked_transposed(&self) -> &Tensor {
         &self.stacked_transposed
@@ -176,9 +180,10 @@ impl<'a> CohortCtx<'a> {
 
 /// Models that can run a whole cohort through one tape graph.
 pub trait CohortForecaster: Forecaster {
-    /// Forwards every individual's window batch at once: row block `b`
-    /// of the returned `[Σ_b W_b, V]` output is bit-identical to
-    /// `group[b].predict_batch` on its own tape with its own RNG.
+    /// Forwards every individual's windows at once: row `w` of block
+    /// `b` of the returned `[Σ_b W_b, V]` output is bit-identical to
+    /// `group[b].predict_window` on that window, with each individual's
+    /// windows forwarded in order on its own tape with its own RNG.
     fn predict_cohort(
         group: &[&Self],
         tape: &Tape,
@@ -191,43 +196,49 @@ pub trait CohortForecaster: Forecaster {
 }
 
 /// Grouped dropout over a cohort row stack, bit-identical per block to
-/// `Tape::dropout` on that individual alone:
+/// `Tape::dropout` on that individual alone. Group `b` spans
+/// `group_wins[b] · block_rows` rows and drops at `rate(group[b])`:
 ///
 /// - not training, or every rate zero → identity (no tape node, no
 ///   draws), matching `Tape::dropout`'s pass-through;
 /// - otherwise one `[Σ rows, cols]` mask is built individual-major.
 ///   A rate-zero group's rows are filled with `1.0` (exact identity
-///   under `mul`, zero draws); an active group draws its `W_b · cols`
-///   Bernoullis row-major from **its own** stream — the exact
-///   per-individual draw sequence.
+///   under `mul`, zero draws); an active group draws its mask entries
+///   row-major from **its own** stream — the exact per-individual draw
+///   sequence.
 ///
 /// # Panics
 /// Panics when slice lengths disagree or a rate is outside `[0, 1)`.
-pub fn cohort_dropout(
+pub fn cohort_dropout<M>(
     tape: &Tape,
     a: Var,
-    rates: &[f64],
+    group: &[&M],
+    rate: impl Fn(&M) -> f64,
     group_wins: &[usize],
+    block_rows: usize,
     ctx: &mut CohortCtx,
 ) -> Var {
-    assert_eq!(rates.len(), group_wins.len(), "one dropout rate per group");
-    assert_eq!(rates.len(), ctx.rngs.len(), "one RNG stream per group");
-    for (b, &rate) in rates.iter().enumerate() {
+    assert_eq!(group.len(), group_wins.len(), "one window count per group");
+    assert_eq!(group.len(), ctx.rngs.len(), "one RNG stream per group");
+    for (b, m) in group.iter().enumerate() {
+        let rate = rate(m);
         assert!(
             (0.0..1.0).contains(&rate),
             "group {b} dropout rate {rate} outside [0, 1)"
         );
     }
-    if !ctx.training || rates.iter().all(|&r| r == 0.0) {
+    if !ctx.training || group.iter().all(|m| rate(m) == 0.0) {
         return a;
     }
-    let cols = tape.dims(a)[1];
-    let total: usize = group_wins.iter().sum();
+    let cols = tape.cols(a);
+    let total: usize = group_wins.iter().sum::<usize>() * block_rows;
     let mut mask = Tensor::zeros(&[total, cols]);
     let data = mask.data_mut();
     let mut off = 0usize;
-    for ((&rate, &wins), rng) in rates.iter().zip(group_wins).zip(ctx.rngs.iter_mut()) {
-        let block = &mut data[off * cols..(off + wins) * cols];
+    for ((m, &wins), rng) in group.iter().zip(group_wins).zip(ctx.rngs.iter_mut()) {
+        let rows = wins * block_rows;
+        let block = &mut data[off * cols..(off + rows) * cols];
+        let rate = rate(m);
         if rate == 0.0 {
             block.fill(1.0);
         } else {
@@ -238,7 +249,7 @@ pub fn cohort_dropout(
                 }
             }
         }
-        off += wins;
+        off += rows;
     }
     tape.dropout_masked(a, mask)
 }
@@ -249,12 +260,11 @@ mod tests {
     use crate::{A3tgcn, Astgcn, ForwardCtx, LstmForecaster, ModelConfig, Mtgnn};
     use ema_graph::AdjacencyMatrix;
 
-    fn window_batch(wins: usize, seq: usize, v: usize, seed: u64) -> WindowBatch {
+    fn windows(wins: usize, seq: usize, v: usize, seed: u64) -> Vec<Tensor> {
         let mut rng = Rng64::seed_from(seed);
-        let windows: Vec<Tensor> = (0..wins)
+        (0..wins)
             .map(|_| Tensor::rand_normal(&[seq, v], 0.0, 1.0, &mut rng))
-            .collect();
-        WindowBatch::from_windows(&windows)
+            .collect()
     }
 
     /// A different graph per individual so grouped constants are
@@ -282,8 +292,8 @@ mod tests {
         }
     }
 
-    /// Asserts the cohort forward matches each individual's standalone
-    /// batched forward bit for bit — training mode (dropout active,
+    /// Asserts the cohort forward matches each individual's per-window
+    /// forward bit for bit — training mode (dropout active,
     /// per-individual streams) and eval mode.
     fn assert_cohort_matches_oracle<M: CohortForecaster>(
         models: &[M],
@@ -292,13 +302,13 @@ mod tests {
         v: usize,
     ) {
         for training in [true, false] {
-            let batches: Vec<WindowBatch> = wins
+            let members: Vec<Vec<Tensor>> = wins
                 .iter()
                 .enumerate()
-                .map(|(b, &w)| window_batch(w, seq, v, 10 + b as u64))
+                .map(|(b, &w)| windows(w, seq, v, 10 + b as u64))
                 .collect();
-            let batch_refs: Vec<&WindowBatch> = batches.iter().collect();
-            let cohort = CohortBatch::from_batches(&batch_refs);
+            let member_refs: Vec<&[Tensor]> = members.iter().map(Vec::as_slice).collect();
+            let cohort = CohortBatch::from_windows(&member_refs);
 
             let tape = Tape::new();
             let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
@@ -319,7 +329,11 @@ mod tests {
                 } else {
                     ForwardCtx::eval(&mut rng)
                 };
-                let rout = model.predict_batch(&reference, &binding, &batches[b], &mut rctx);
+                let preds: Vec<Var> = members[b]
+                    .iter()
+                    .map(|w| model.predict_window(&reference, &binding, w, &mut rctx))
+                    .collect();
+                let rout = reference.stack_rows(&preds);
                 let (off, w) = (cohort.offset(b), wins[b]);
                 assert_eq!(
                     &out_value.data()[off * v..(off + w) * v],
@@ -332,9 +346,9 @@ mod tests {
 
     #[test]
     fn cohort_batch_stacks_individual_major() {
-        let b0 = window_batch(3, 2, 4, 1);
-        let b1 = window_batch(5, 2, 4, 2);
-        let cohort = CohortBatch::from_batches(&[&b0, &b1]);
+        let b0 = windows(3, 2, 4, 1);
+        let b1 = windows(5, 2, 4, 2);
+        let cohort = CohortBatch::from_windows(&[&b0, &b1]);
         assert_eq!(cohort.num_groups(), 2);
         assert_eq!(cohort.group_wins(), &[3, 5]);
         assert_eq!(cohort.total_rows(), 8);
@@ -343,17 +357,20 @@ mod tests {
         for t in 0..2 {
             let step = cohort.step(t);
             assert_eq!(step.dims(), &[8, 4]);
-            assert_eq!(&step.data()[..3 * 4], b0.step(t).data(), "step {t} block 0");
-            assert_eq!(&step.data()[3 * 4..], b1.step(t).data(), "step {t} block 1");
+            let rows: Vec<f64> =
+                b0.iter().chain(&b1).flat_map(|w| w.row(t).data().to_vec()).collect();
+            assert_eq!(step.data(), rows.as_slice(), "step {t}");
         }
+        let stacked: Vec<f64> = b0.iter().chain(&b1).flat_map(|w| w.data().to_vec()).collect();
+        assert_eq!(cohort.stacked().data(), stacked.as_slice());
     }
 
     #[test]
     #[should_panic(expected = "seq_len mismatch")]
     fn cohort_batch_rejects_mixed_seq_len() {
-        let b0 = window_batch(2, 2, 3, 1);
-        let b1 = window_batch(2, 3, 3, 2);
-        let _ = CohortBatch::from_batches(&[&b0, &b1]);
+        let b0 = windows(2, 2, 3, 1);
+        let b1 = windows(2, 3, 3, 2);
+        let _ = CohortBatch::from_windows(&[&b0, &b1]);
     }
 
     #[test]

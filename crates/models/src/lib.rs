@@ -10,10 +10,14 @@
 //! | [`Astgcn`] | Temporal GAT | static Chebyshev stack ⊙ learned spatial attention |
 //! | [`Mtgnn`] | Temporal GAT + graph learning | **learned** adjacency (node embeddings), optionally primed with a static graph |
 //!
-//! All models implement [`Forecaster`]: given a `[seq_len, V]` window
-//! they predict the `[V]` vector at the next time point (the paper's
-//! 1-lag forecasting task). Model hyper-parameters follow Section V-D:
-//! 32 hidden units, kernel 3, dropout 0.3.
+//! All models (and the [`VarForecaster`] baseline) implement
+//! [`Forecaster`]: given a `[seq_len, V]` window they predict the `[V]`
+//! vector at the next time point (the paper's 1-lag forecasting task).
+//! Training and evaluation run one forward for every model, the
+//! grouped [`CohortForecaster::predict_cohort`] over all windows of one
+//! or more individuals; [`Forecaster::predict_window`] is the
+//! per-window reference it is tested against. Model hyper-parameters
+//! follow Section V-D: 32 hidden units, kernel 3, dropout 0.3.
 
 #![warn(missing_docs)]
 
@@ -31,8 +35,8 @@ pub use a3tgcn::A3tgcn;
 pub use astgcn::Astgcn;
 pub use cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
 pub use config::ModelConfig;
-pub use forecaster::{build_model, Forecaster, ForwardCtx, ModelKind, WindowBatch};
-pub use gcn::{gcn_layer, gcn_layer_batched, mixhop_propagation, mixhop_propagation_batched};
+pub use forecaster::{build_model, Forecaster, ForwardCtx, ModelKind};
+pub use gcn::{gcn_layer, mixhop_propagation};
 pub use lstm::LstmForecaster;
 pub use mtgnn::{GraphLearnerKind, Mtgnn};
 pub use var::VarForecaster;

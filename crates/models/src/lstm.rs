@@ -1,7 +1,7 @@
 //! The baseline LSTM forecaster (paper Experiment A).
 
 use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
-use crate::{Forecaster, ForwardCtx, ModelConfig, WindowBatch};
+use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, LstmCell, ParamStore};
 use ema_tensor::{Rng64, Tensor};
@@ -82,33 +82,14 @@ impl Forecaster for LstmForecaster {
         tape.flatten(pred)
     }
 
-    fn predict_batch(
+    fn predict_member(
         &self,
         tape: &Tape,
         binding: &Binding,
-        batch: &WindowBatch,
-        ctx: &mut ForwardCtx,
+        batch: &CohortBatch,
+        ctx: &mut CohortCtx,
     ) -> Var {
-        assert_eq!(
-            batch.num_vars(),
-            self.num_variables,
-            "batch has {} variables, model expects {}",
-            batch.num_vars(),
-            self.num_variables
-        );
-        let wins = batch.wins();
-        // Step t across all windows is one [W, V] row block; the cell
-        // recurrence runs once over the stack instead of once per
-        // window. The [W, H] dropout mask is drawn row-major ==
-        // window-major, matching the per-window draw sequence.
-        let xs: Vec<Var> = (0..batch.seq_len())
-            .map(|t| tape.leaf(batch.step(t).clone()))
-            .collect();
-        let state = self.cell.zero_state(tape, wins);
-        let states = self.cell.run_sequence_batched(tape, binding, &xs, state, wins);
-        let last = *states.last().expect("non-empty window");
-        let dropped = tape.dropout(last, self.dropout, ctx.training, ctx.rng);
-        self.head.forward_batched(tape, binding, dropped, wins) // [W, V]
+        Self::predict_cohort(&[self], tape, &[binding], batch, ctx)
     }
 }
 
@@ -131,10 +112,11 @@ impl CohortForecaster for LstmForecaster {
                 model.num_variables
             );
         }
-        // Mirror of `predict_batch` with grouped ops: step t across the
-        // whole cohort is one [Σ W_b, V] row block; every grouped op is
-        // bit-identical per block to the per-individual batched op, and
-        // dropout draws each individual's mask from its own stream.
+        // Step t across the whole cohort is one [Σ W_b, V] row block;
+        // the cell recurrence runs once over the stack instead of once
+        // per window. Every grouped op is bit-identical per row to the
+        // per-window op, and dropout draws each individual's [W_b, H]
+        // mask row-major (window-major) from its own stream.
         let xs: Vec<Var> = (0..batch.seq_len())
             .map(|t| tape.leaf(batch.step(t).clone()))
             .collect();
@@ -143,10 +125,13 @@ impl CohortForecaster for LstmForecaster {
         let states =
             LstmCell::run_sequence_grouped(&cells, tape, bindings, &xs, state, batch.group_wins());
         let last = *states.last().expect("non-empty window");
-        let rates: Vec<f64> = group.iter().map(|m| m.dropout).collect();
-        let dropped = cohort_dropout(tape, last, &rates, batch.group_wins(), ctx);
-        let heads: Vec<&Linear> = group.iter().map(|m| &m.head).collect();
-        Linear::forward_grouped(&heads, tape, bindings, dropped, batch.group_wins()) // [Σ W_b, V]
+        let dropped = cohort_dropout(tape, last, group, |m| m.dropout, batch.group_wins(), 1, ctx);
+        let heads: Vec<(Var, Var)> = group
+            .iter()
+            .zip(bindings)
+            .map(|(m, bind)| (bind.var(m.head.w), bind.var(m.head.b)))
+            .collect();
+        tape.group_linear(dropped, &heads, batch.group_wins()) // [Σ W_b, V]
     }
 }
 

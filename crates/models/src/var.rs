@@ -7,6 +7,7 @@
 //! pipeline (Adam minimises the same least-squares objective) or in
 //! closed form with ridge least squares ([`VarForecaster::fit_closed_form`]).
 
+use crate::cohort::{CohortBatch, CohortCtx, CohortForecaster};
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, ParamStore};
@@ -137,6 +138,45 @@ impl Forecaster for VarForecaster {
         let flat = tape.leaf(window.reshaped(&[1, self.seq_len * self.num_variables]));
         let pred = self.layer.forward(tape, binding, flat); // [1, V]
         tape.flatten(pred)
+    }
+
+    fn predict_member(
+        &self,
+        tape: &Tape,
+        binding: &Binding,
+        batch: &CohortBatch,
+        ctx: &mut CohortCtx,
+    ) -> Var {
+        Self::predict_cohort(&[self], tape, &[binding], batch, ctx)
+    }
+}
+
+impl CohortForecaster for VarForecaster {
+    fn predict_cohort(
+        group: &[&Self],
+        tape: &Tape,
+        bindings: &[&Binding],
+        batch: &CohortBatch,
+        _ctx: &mut CohortCtx,
+    ) -> Var {
+        assert_eq!(group.len(), batch.num_groups(), "one window batch per model");
+        for (b, model) in group.iter().enumerate() {
+            assert_eq!(model.num_variables, batch.num_vars(), "individual {b}: window width");
+            assert_eq!(
+                model.seq_len,
+                batch.seq_len(),
+                "individual {b}: VAR(p = {}) got a window of {} steps",
+                model.seq_len,
+                batch.seq_len()
+            );
+        }
+        // Each window's [s, V] rows flatten to one [1, s·V] row — the
+        // per-window input exactly — so the whole stack is one grouped
+        // affine map over [Σ W_b, s·V].
+        let width = batch.seq_len() * batch.num_vars();
+        let flat = tape.leaf(batch.stacked().reshaped(&[batch.total_rows(), width]));
+        let layers: Vec<&Linear> = group.iter().map(|m| &m.layer).collect();
+        Linear::forward_grouped(&layers, tape, bindings, flat, batch.group_wins()) // [Σ W_b, V]
     }
 }
 

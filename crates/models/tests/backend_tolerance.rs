@@ -19,7 +19,7 @@
 
 use ema_autodiff::{Grads, Tape};
 use ema_graph::AdjacencyMatrix;
-use ema_models::{build_model, ForwardCtx, ModelConfig, ModelKind, WindowBatch};
+use ema_models::{build_model, CohortBatch, CohortCtx, ModelConfig, ModelKind};
 use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
 
@@ -40,7 +40,7 @@ struct Trained {
 
 /// Builds the model fresh from `seed`, trains `EPOCHS` full-batch Adam
 /// epochs on the same synthetic windows, and returns the final loss
-/// plus eval-mode batched predictions — everything computed under
+/// plus eval-mode predictions — everything computed under
 /// `backend`. Mirrors the steady-state loop in `ema_core::train_model`.
 fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
     with_kernel_backend(backend, || {
@@ -54,10 +54,10 @@ fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
             .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
             .collect();
         let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
-        let batch = WindowBatch::from_windows(&windows);
+        let batch = CohortBatch::from_windows(&[&windows]);
 
         let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
-        let mut drop_rng = Rng64::seed_from(seed.wrapping_add(13));
+        let mut drop_rng = [Rng64::seed_from(seed.wrapping_add(13))];
         let mut tape = Tape::new();
         let mut grads = Grads::empty();
         let tgt = tape.leaf(targets.clone());
@@ -67,8 +67,8 @@ fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
         for _ in 0..EPOCHS {
             tape.reset_to(keep);
             let binding = model.params().bind(&tape);
-            let mut ctx = ForwardCtx::train(&mut drop_rng);
-            let stacked = model.predict_batch(&tape, &binding, &batch, &mut ctx);
+            let mut ctx = CohortCtx::train(&mut drop_rng);
+            let stacked = model.predict_member(&tape, &binding, &batch, &mut ctx);
             let loss = tape.mse(stacked, tgt);
             tape.backward_into(loss, &mut grads);
             adam.step(model.params_mut(), &binding, &grads);
@@ -77,9 +77,9 @@ fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
 
         tape.reset_to(keep);
         let binding = model.params().bind(&tape);
-        let mut eval_rng = Rng64::seed_from(0);
-        let mut ctx = ForwardCtx::eval(&mut eval_rng);
-        let out = model.predict_batch(&tape, &binding, &batch, &mut ctx);
+        let mut eval_rng = [Rng64::seed_from(0)];
+        let mut ctx = CohortCtx::eval(&mut eval_rng);
+        let out = model.predict_member(&tape, &binding, &batch, &mut ctx);
         Trained {
             final_loss,
             predictions: tape.value(out),

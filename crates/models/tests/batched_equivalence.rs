@@ -1,19 +1,20 @@
-//! Property tests pinning the batched forward path
-//! ([`Forecaster::predict_batch`]) bit-identical to the per-window
-//! oracle graph (`predict_window` per window + `stack_rows`) — in
-//! predicted values AND in every parameter gradient, for all four
-//! paper models, in both train mode (dropout active, masks drawn
-//! window-major) and eval mode, across seeds and window counts — plus
-//! the cohort-batched LSTM path ([`CohortForecaster::predict_cohort`],
-//! one grouped graph for B individuals) against B separate
-//! per-individual graphs.
+//! Property tests pinning the production forward path bit-identical to
+//! the per-window oracle graph (`predict_window` per window +
+//! `stack_rows`) — in predicted values AND in every parameter
+//! gradient, for the four paper models and the VAR baseline, in both
+//! train mode (dropout active, masks drawn window-major) and eval mode,
+//! across seeds and window counts. The `*_batched_*` properties check
+//! the one-member forward ([`Forecaster::predict_member`], one graph
+//! over an individual's windows); the `*_cohort_*` properties check
+//! the grouped forward ([`CohortForecaster::predict_cohort`], one graph
+//! for B individuals) against each individual's per-window graph.
 
 use ema_autodiff::{Tape, Var};
 use ema_check::{gen, prop_tests};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{
     build_model, A3tgcn, Astgcn, CohortBatch, CohortCtx, CohortForecaster, Forecaster,
-    ForwardCtx, LstmForecaster, ModelConfig, ModelKind, Mtgnn, WindowBatch,
+    ForwardCtx, LstmForecaster, ModelConfig, ModelKind, Mtgnn, VarForecaster,
 };
 use ema_nn::Binding;
 use ema_tensor::{derive_stream_seed, Rng64, Tensor};
@@ -65,22 +66,23 @@ fn run_per_window(
     finish(&tape, &binding, model, stacked, targets)
 }
 
-fn run_batched(
+fn run_member(
     model: &dyn Forecaster,
-    batch: &WindowBatch,
+    windows: &[Tensor],
     targets: &Tensor,
     training: bool,
     rng_seed: u64,
 ) -> (Tensor, Vec<Option<Tensor>>) {
     let tape = Tape::new();
     let binding = model.params().bind(&tape);
-    let mut rng = Rng64::seed_from(rng_seed);
+    let batch = CohortBatch::from_windows(&[windows]);
+    let mut rngs = [Rng64::seed_from(rng_seed)];
     let mut ctx = if training {
-        ForwardCtx::train(&mut rng)
+        CohortCtx::train(&mut rngs)
     } else {
-        ForwardCtx::eval(&mut rng)
+        CohortCtx::eval(&mut rngs)
     };
-    let out = model.predict_batch(&tape, &binding, batch, &mut ctx);
+    let out = model.predict_member(&tape, &binding, &batch, &mut ctx);
     finish(&tape, &binding, model, out, targets)
 }
 
@@ -88,14 +90,15 @@ fn assert_bit_identical(label: &str, a: &Tensor, b: &Tensor) {
     assert_eq!(a.dims(), b.dims(), "{label}: shape mismatch");
     assert!(
         a.data() == b.data(),
-        "{label}: values differ bit-wise\n  oracle:  {:?}\n  batched: {:?}",
+        "{label}: values differ bit-wise\n  oracle:     {:?}\n  production: {:?}",
         a.data(),
         b.data()
     );
 }
 
 /// One full comparison: same model, same windows, same RNG seed — the
-/// batched graph must match the per-window graph byte for byte.
+/// one-member production graph must match the per-window graph byte
+/// for byte.
 fn check_model(kind: ModelKind, seed: u64, wins: usize, training: bool) {
     let cfg = ModelConfig::tiny(seed);
     let graph = AdjacencyMatrix::complete(V);
@@ -106,11 +109,10 @@ fn check_model(kind: ModelKind, seed: u64, wins: usize, training: bool) {
         .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
         .collect();
     let targets = Tensor::rand_normal(&[wins, V], 0.0, 1.0, &mut data_rng);
-    let batch = WindowBatch::from_windows(&windows);
 
     let rng_seed = seed.wrapping_mul(0x2545_f491_4f6c_dd1d).wrapping_add(7);
     let (val_a, grads_a) = run_per_window(model.as_ref(), &windows, &targets, training, rng_seed);
-    let (val_b, grads_b) = run_batched(model.as_ref(), &batch, &targets, training, rng_seed);
+    let (val_b, grads_b) = run_member(model.as_ref(), &windows, &targets, training, rng_seed);
 
     let mode = if training { "train" } else { "eval" };
     assert_bit_identical(&format!("{} {mode} values", kind.label()), &val_a, &val_b);
@@ -155,7 +157,7 @@ fn cohort_graph(b: usize) -> AdjacencyMatrix {
 /// One cohort comparison: B independent models forward through ONE
 /// grouped tape graph ([`CohortForecaster::predict_cohort`]) with
 /// per-individual MSE losses summed into one scalar, vs B separate
-/// [`Forecaster::predict_batch`] graphs — values per row block AND
+/// per-window oracle graphs — values per row block AND
 /// every individual's parameter gradients must match byte for byte.
 /// Per the cohort RNG contract each individual draws from its own
 /// stream, so the oracle runs reuse the same derived seeds. `build`
@@ -169,7 +171,7 @@ fn check_cohort<M: CohortForecaster>(
 ) {
     let mut data_rng = Rng64::seed_from(seed ^ 0x9e37_79b9);
     let mut models = Vec::with_capacity(groups);
-    let mut batches = Vec::with_capacity(groups);
+    let mut members = Vec::with_capacity(groups);
     let mut targets = Vec::with_capacity(groups);
     let mut rng_seeds = Vec::with_capacity(groups);
     for b in 0..groups {
@@ -178,7 +180,7 @@ fn check_cohort<M: CohortForecaster>(
             .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
             .collect();
         models.push(build(b, seed.wrapping_add(b as u64)));
-        batches.push(WindowBatch::from_windows(&windows));
+        members.push(windows);
         targets.push(Tensor::rand_normal(&[wins, V], 0.0, 1.0, &mut data_rng));
         rng_seeds.push(derive_stream_seed(seed, b as u64));
     }
@@ -188,8 +190,8 @@ fn check_cohort<M: CohortForecaster>(
     let bindings: Vec<Binding> = models.iter().map(|m| m.params().bind(&tape)).collect();
     let binding_refs: Vec<&Binding> = bindings.iter().collect();
     let group_refs: Vec<&M> = models.iter().collect();
-    let batch_refs: Vec<&WindowBatch> = batches.iter().collect();
-    let cohort = CohortBatch::from_batches(&batch_refs);
+    let member_refs: Vec<&[Tensor]> = members.iter().map(Vec::as_slice).collect();
+    let cohort = CohortBatch::from_windows(&member_refs);
     let mut rngs: Vec<Rng64> = rng_seeds.iter().map(|&s| Rng64::seed_from(s)).collect();
     let mut ctx = if training {
         CohortCtx::train(&mut rngs)
@@ -214,7 +216,7 @@ fn check_cohort<M: CohortForecaster>(
     let mode = if training { "train" } else { "eval" };
     for (b, model) in models.iter().enumerate() {
         let (val, oracle_grads) =
-            run_batched(model, &batches[b], &targets[b], training, rng_seeds[b]);
+            run_per_window(model, &members[b], &targets[b], training, rng_seeds[b]);
         let off = cohort.offset(b);
         let wins = cohort.group_wins()[b];
         assert_eq!(
@@ -271,6 +273,10 @@ prop_tests! {
         check_model(ModelKind::Mtgnn, seed, wins, training);
     }
 
+    fn var_batched_matches_oracle((seed, wins, training) in case) {
+        check_model(ModelKind::Var, seed, wins, training);
+    }
+
     fn lstm_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
         check_cohort("LSTM", seed, groups, training, &|_b, s| {
             LstmForecaster::new(V, &ModelConfig::tiny(s))
@@ -292,6 +298,12 @@ prop_tests! {
     fn mtgnn_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
         check_cohort("MTGNN", seed, groups, training, &|b, s| {
             Mtgnn::new(V, SEQ, Some(&cohort_graph(b)), &ModelConfig::tiny(s))
+        });
+    }
+
+    fn var_cohort_matches_per_individual_oracle((seed, groups, training) in cohort_case) {
+        check_cohort("VAR", seed, groups, training, &|_b, s| {
+            VarForecaster::new(V, SEQ, &ModelConfig::tiny(s))
         });
     }
 }

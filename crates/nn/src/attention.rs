@@ -97,78 +97,12 @@ impl TemporalAttention {
         tape.reshape(ctx, &[n, h])
     }
 
-    /// Batched [`TemporalAttention::weights`]: each state is a
-    /// `[W·n, hidden]` stack of window row-blocks; returns the softmax
-    /// weights as a `[W, T]` matrix whose row `w` is bit-identical to
-    /// the per-window weights of window `w` alone.
-    ///
-    /// # Panics
-    /// Panics if `states` is empty or widths mismatch.
-    pub fn weights_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        states: &[Var],
-        wins: usize,
-    ) -> Var {
-        assert!(!states.is_empty(), "attention over an empty sequence");
-        let n = tape.dims(states[0])[0] / wins;
-        // Row-averaging matrix [1, n]; shared across windows (its own
-        // gradient is never read).
-        let avg = tape.leaf(Tensor::filled(&[1, n], 1.0 / n as f64));
-        let vt = tape.transpose(binding.var(self.v)); // [A, 1], shared by every step
-        let mut scores = Vec::with_capacity(states.len());
-        for &h in states {
-            assert_eq!(
-                tape.dims(h)[1],
-                self.hidden_dim,
-                "hidden width mismatch in attention"
-            );
-            let mean_h = tape.block_lhs_matmul(avg, h, wins); // [W, H]
-            let proj =
-                tape.batched_linear(mean_h, binding.var(self.w), binding.var(self.b), wins); // [W, A]
-            let act = tape.tanh(proj);
-            // Grouped replay: the per-window reference folds each
-            // window's score gradient into its own vt node before
-            // accumulating, so v's gradient association matches.
-            scores.push(tape.batched_matmul_grouped(act, vt, wins)); // [W, 1]
-        }
-        let mut logits = scores[0];
-        for &s in &scores[1..] {
-            logits = tape.hcat(logits, s); // [W, T]
-        }
-        tape.softmax_last(logits) // [W, T], row-wise softmax
-    }
-
-    /// Batched [`TemporalAttention::forward`]: the attention-weighted
-    /// context for every window at once, shape `[W·n, hidden]`.
-    ///
-    /// # Panics
-    /// Panics if `states` is empty or widths mismatch.
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        states: &[Var],
-        wins: usize,
-    ) -> Var {
-        let alpha = self.weights_batched(tape, binding, states, wins); // [W, T]
-        let n = tape.dims(states[0])[0] / wins;
-        let h = self.hidden_dim;
-        // Window block w of the stack holds the T flattened states of
-        // window w; a blockwise [1, T] x [T, n*H] product then forms
-        // every window's context in one node.
-        let stacked = tape.stack_window_blocks(states, wins); // [W·T, n*H]
-        let ctx = tape.block_matmul(alpha, stacked, wins); // [W, n*H]
-        tape.reshape(ctx, &[wins * n, h])
-    }
-
-    /// Grouped [`TemporalAttention::weights_batched`] over a cohort
-    /// stack: each state is a `[Σ W_b·n, hidden]` individual-major
-    /// stack, and group `b`'s window rows are scored by its *own*
-    /// `(w, b, v)` parameters — bit-identical per row block to the
-    /// per-individual batched weights. All modules must share the
-    /// hidden and attention widths.
+    /// [`TemporalAttention::weights`] over a cohort stack: each state
+    /// is a `[Σ W_b·n, hidden]` individual-major stack, and group `b`'s
+    /// window rows are scored by its *own* `(w, b, v)` parameters.
+    /// Returns `[Σ W_b, T]` whose row `w` is bit-identical to the
+    /// per-window weights of window `w` alone. All modules must share
+    /// the hidden and attention widths.
     ///
     /// # Panics
     /// Panics if `states` is empty or lengths/widths mismatch.
@@ -205,9 +139,9 @@ impl TemporalAttention {
             let mean_h = tape.block_lhs_matmul(avg, h, total_wins); // [Σ W_b, H]
             let proj = tape.group_linear(mean_h, &params, group_wins); // [Σ W_b, A]
             let act = tape.tanh(proj);
-            // Grouped replay per individual: each group's score pieces
-            // fold into its own vt node per window, as in the batched
-            // reference.
+            // Grouped replay: each window's score pieces fold into one
+            // vt piece before reaching v, as the per-window graph folds
+            // them into that window's own transpose node.
             scores.push(tape.group_matmul_grouped(act, &vts, group_wins, 1)); // [Σ W_b, 1]
         }
         let mut logits = scores[0];
@@ -217,7 +151,7 @@ impl TemporalAttention {
         tape.softmax_last(logits) // [Σ W_b, T], row-wise softmax
     }
 
-    /// Grouped [`TemporalAttention::forward_batched`]: the
+    /// [`TemporalAttention::forward`] over a cohort stack: the
     /// attention-weighted context for every window of every individual
     /// at once, shape `[Σ W_b·n, hidden]`.
     ///
@@ -235,8 +169,8 @@ impl TemporalAttention {
         let n = tape.dims(states[0])[0] / total_wins;
         let h = attns[0].hidden_dim;
         // The pooling stays a shared-structure op: window blocks divide
-        // the cohort stack uniformly, so the batched stack/block-matmul
-        // with wins = Σ W_b is bit-identical per window block.
+        // the cohort stack uniformly, so the window-block stack and
+        // block matmul with wins = Σ W_b are bit-identical per window.
         let stacked = tape.stack_window_blocks(states, total_wins); // [Σ W_b·T, n*H]
         let ctx = tape.block_matmul(alpha, stacked, total_wins); // [Σ W_b, n*H]
         tape.reshape(ctx, &[total_wins * n, h])

@@ -113,47 +113,11 @@ impl DilatedTemporalConv {
         out
     }
 
-    /// Batched [`DilatedTemporalConv::forward`]: every step is a
-    /// `[W·n, in_c]` stack of window row-blocks sharing the tap
-    /// parameters. Row-block `w` of each output step is bit-identical
-    /// to the per-window forward on window `w` alone.
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        seq: &[Var],
-        wins: usize,
-    ) -> Vec<Var> {
-        let span = self.shrinkage();
-        assert!(
-            seq.len() > span,
-            "sequence of {} steps is shorter than receptive field {}",
-            seq.len(),
-            span + 1
-        );
-        let bias = binding.var(self.bias);
-        let mut out = Vec::with_capacity(seq.len() - span);
-        for t in span..seq.len() {
-            let mut acc: Option<Var> = None;
-            for (j, &tap) in self.taps.iter().enumerate() {
-                let x = seq[t - j * self.dilation];
-                let term = tape.batched_matmul_nt(x, binding.var(tap), wins);
-                acc = Some(match acc {
-                    Some(a) => tape.add(a, term),
-                    None => term,
-                });
-            }
-            let summed = acc.expect("kernel > 0");
-            out.push(tape.batched_add_row_broadcast(summed, bias, wins));
-        }
-        out
-    }
-
-    /// Grouped [`DilatedTemporalConv::forward_batched`] over a cohort
-    /// stack: each step is a `[Σ W_b·rows, in_c]` individual-major
-    /// stack, and group `b`'s rows convolve with its *own* taps/bias —
-    /// bit-identical per row block to the per-individual batched
-    /// forward. All modules must share kernel, dilation, and widths.
+    /// [`DilatedTemporalConv::forward`] over a cohort stack: each step
+    /// is a `[Σ W_b·rows, in_c]` individual-major stack, and group
+    /// `b`'s rows convolve with its *own* taps/bias — bit-identical per
+    /// `rows`-row window block to the per-window forward. All modules
+    /// must share kernel, dilation, and widths.
     ///
     /// # Panics
     /// Panics if lengths/shapes mismatch or the sequence is shorter
@@ -193,17 +157,22 @@ impl DilatedTemporalConv {
             .zip(bindings)
             .map(|(c, bind)| bind.var(c.bias))
             .collect();
-        let mut out = Vec::with_capacity(seq.len() - span);
-        for t in span..seq.len() {
-            let mut acc: Option<Var> = None;
-            for j in 0..first.kernel {
-                let x = seq[t - j * first.dilation];
-                let taps_j: Vec<Var> = convs
+        // taps[j][b]: group b's tap j.
+        let taps: Vec<Vec<Var>> = (0..first.kernel)
+            .map(|j| {
+                convs
                     .iter()
                     .zip(bindings)
                     .map(|(c, bind)| bind.var(c.taps[j]))
-                    .collect();
-                let term = tape.group_matmul_nt(x, &taps_j, group_wins, block_rows);
+                    .collect()
+            })
+            .collect();
+        let mut out = Vec::with_capacity(seq.len() - span);
+        for t in span..seq.len() {
+            let mut acc: Option<Var> = None;
+            for (j, taps_j) in taps.iter().enumerate() {
+                let x = seq[t - j * first.dilation];
+                let term = tape.group_matmul_nt(x, taps_j, group_wins, block_rows);
                 acc = Some(match acc {
                     Some(a) => tape.add(a, term),
                     None => term,

@@ -70,18 +70,11 @@ impl Linear {
         tape.linear(x, binding.var(self.w), binding.var(self.b))
     }
 
-    /// Batched [`Linear::forward`] over `wins` window row-blocks
-    /// sharing the layer parameters: `x: [W·n, in]` → `[W·n, out]`.
-    pub fn forward_batched(&self, tape: &Tape, binding: &Binding, x: Var, wins: usize) -> Var {
-        tape.batched_linear(x, binding.var(self.w), binding.var(self.b), wins)
-    }
-
     /// Grouped forward over a cohort row stack: group `b`'s
     /// `group_rows[b]` contiguous rows of `x` go through `layers[b]`
     /// bound via `bindings[b]` (each individual keeps its own
-    /// parameters on the shared tape). Row-block `b` is bit-identical
-    /// to [`Linear::forward_batched`] on that individual alone (see
-    /// `Tape::group_linear`).
+    /// parameters on the shared tape). Each row is bit-identical to
+    /// [`Linear::forward`] on that row alone (see `Tape::group_linear`).
     ///
     /// # Panics
     /// Panics when the slice lengths disagree or layer widths differ.

@@ -100,23 +100,6 @@ impl GruCell {
         states
     }
 
-    /// One step over `wins` window row-blocks sharing the cell params:
-    /// `x: [W·n, X]`, `h: [W·n, H]` → `[W·n, H]`. Row-block `w` is
-    /// bit-identical to [`GruCell::forward`] on window `w` alone; the
-    /// shared weight gradients replay per window (see
-    /// `Tape::batched_linear`).
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        x: Var,
-        h: Var,
-        wins: usize,
-    ) -> Var {
-        let gi = tape.batched_linear(x, binding.var(self.w_ih), binding.var(self.b_ih), wins);
-        let gh = tape.batched_linear(h, binding.var(self.w_hh), binding.var(self.b_hh), wins);
-        tape.gru_cell(gi, gh, h)
-    }
 }
 
 /// The `(hidden, cell)` pair carried across LSTM steps.
@@ -226,44 +209,6 @@ impl LstmCell {
         states
     }
 
-    /// One step over `wins` window row-blocks sharing the cell params:
-    /// `x: [W·n, X]` with carried `[W·n, H]` state. Row-block `w` is
-    /// bit-identical to [`LstmCell::forward`] on window `w` alone.
-    pub fn forward_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        x: Var,
-        state: LstmState,
-        wins: usize,
-    ) -> LstmState {
-        let hd = self.hidden_dim;
-        let gi = tape.batched_linear(x, binding.var(self.w_ih), binding.var(self.b_ih), wins);
-        let gh = tape.batched_linear(state.h, binding.var(self.w_hh), binding.var(self.b_hh), wins);
-        let gates_pre = tape.add(gi, gh);
-        let hc = tape.lstm_cell(gates_pre, state.c);
-        let h = tape.slice_cols(hc, 0, hd);
-        let c = tape.slice_cols(hc, hd, 2 * hd);
-        LstmState { h, c }
-    }
-
-    /// Batched [`LstmCell::run_sequence`]: every `x` is `[W·n, X]`.
-    pub fn run_sequence_batched(
-        &self,
-        tape: &Tape,
-        binding: &Binding,
-        xs: &[Var],
-        mut state: LstmState,
-        wins: usize,
-    ) -> Vec<Var> {
-        let mut states = Vec::with_capacity(xs.len());
-        for &x in xs {
-            state = self.forward_batched(tape, binding, x, state, wins);
-            states.push(state.h);
-        }
-        states
-    }
-
     /// Zero-initialised state for a cohort stack of `total_rows` rows
     /// shared by `cells` (all cells must agree on the hidden width).
     ///
@@ -276,23 +221,24 @@ impl LstmCell {
         LstmState { h, c }
     }
 
-    /// One step over a cohort row stack: group `b`'s `group_rows[b]`
+    /// [`LstmCell::run_sequence`] over a cohort row stack, returning
+    /// every hidden state: at each step, group `b`'s `group_rows[b]`
     /// contiguous rows of `x: [Σ rows, X]` go through `cells[b]`'s own
-    /// parameters bound via `bindings[b]`. Row-block `b` is
-    /// bit-identical to [`LstmCell::forward_batched`] on that
-    /// individual alone: the grouped linears match per block (see
-    /// `Tape::group_linear`) and the add/cell/slice chain is rowwise.
+    /// parameters bound via `bindings[b]`. Row `r` of block `b` is
+    /// bit-identical to [`LstmCell::forward`] on that row alone: the
+    /// grouped linears match per row (see `Tape::group_linear`) and the
+    /// add/cell/slice chain is rowwise.
     ///
     /// # Panics
     /// Panics when slice lengths disagree or cell widths differ.
-    pub fn forward_grouped(
+    pub fn run_sequence_grouped(
         cells: &[&Self],
         tape: &Tape,
         bindings: &[&Binding],
-        x: Var,
-        state: LstmState,
+        xs: &[Var],
+        mut state: LstmState,
         group_rows: &[usize],
-    ) -> LstmState {
+    ) -> Vec<Var> {
         assert_eq!(cells.len(), bindings.len(), "one binding per cell");
         let hd = Self::shared_hidden_dim(cells);
         let pairs = |pick: fn(&Self) -> (ParamId, ParamId)| -> Vec<(Var, Var)> {
@@ -305,28 +251,17 @@ impl LstmCell {
                 })
                 .collect()
         };
-        let gi = tape.group_linear(x, &pairs(|c| (c.w_ih, c.b_ih)), group_rows);
-        let gh = tape.group_linear(state.h, &pairs(|c| (c.w_hh, c.b_hh)), group_rows);
-        let gates_pre = tape.add(gi, gh);
-        let hc = tape.lstm_cell(gates_pre, state.c);
-        let h = tape.slice_cols(hc, 0, hd);
-        let c = tape.slice_cols(hc, hd, 2 * hd);
-        LstmState { h, c }
-    }
-
-    /// Grouped [`LstmCell::run_sequence_batched`] over a cohort stack,
-    /// returning every hidden state.
-    pub fn run_sequence_grouped(
-        cells: &[&Self],
-        tape: &Tape,
-        bindings: &[&Binding],
-        xs: &[Var],
-        mut state: LstmState,
-        group_rows: &[usize],
-    ) -> Vec<Var> {
+        let (ih, hh) = (pairs(|c| (c.w_ih, c.b_ih)), pairs(|c| (c.w_hh, c.b_hh)));
         let mut states = Vec::with_capacity(xs.len());
         for &x in xs {
-            state = Self::forward_grouped(cells, tape, bindings, x, state, group_rows);
+            let gi = tape.group_linear(x, &ih, group_rows);
+            let gh = tape.group_linear(state.h, &hh, group_rows);
+            let gates_pre = tape.add(gi, gh);
+            let hc = tape.lstm_cell(gates_pre, state.c);
+            state = LstmState {
+                h: tape.slice_cols(hc, 0, hd),
+                c: tape.slice_cols(hc, hd, 2 * hd),
+            };
             states.push(state.h);
         }
         states

@@ -1,9 +1,10 @@
 //! Streamed sharded cohort training: the study is generated shard by
 //! shard on the executor workers (`EmaGenerator::generate_range`), each
-//! shard trains as ONE cohort tape graph per epoch
-//! (`CohortPath::Batched`), and per-shard memory is dropped when its
-//! job ends — so peak heap is bounded by (workers × shard size), not
-//! the study size.
+//! shard trains as ONE grouped tape graph per epoch (the same training
+//! loop a single-individual fit runs as a one-member cohort), and
+//! per-shard memory is dropped when its job ends — so peak heap is
+//! bounded by (workers × shard size), not the study size. Shard size
+//! never changes a result byte.
 //!
 //! ```bash
 //! EMA_OBS=full cargo run --release -p ema-core --example cohort_stream

@@ -20,6 +20,24 @@ for arg in "$@"; do
   esac
 done
 
+# Runs `cargo test --offline "$@"` and fails unless every test binary
+# it ran passed at least one test. Cargo exits 0 on a filter that
+# matches nothing ("0 passed"), so without this check a renamed test
+# would turn its CI step into a silent no-op.
+filtered_test() {
+  local out
+  if ! out=$(cargo test --offline "$@" 2>&1); then
+    printf '%s\n' "$out"
+    return 1
+  fi
+  printf '%s\n' "$out"
+  if ! grep -q "test result: ok\. [1-9][0-9]* passed" <<<"$out" \
+    || grep -q "test result: ok\. 0 passed" <<<"$out"; then
+    echo "error: 'cargo test $*' ran no test (filter matched nothing?)" >&2
+    return 1
+  fi
+}
+
 echo "==> cargo build (all targets)"
 cargo build --offline --workspace --all-targets
 
@@ -40,33 +58,35 @@ echo "==> cargo test (EMA_THREADS=4)"
 # byte-identical to the sequential run (the exec engine's guarantee).
 EMA_THREADS=4 cargo test --offline --workspace -q
 
-echo "==> batched-forward equivalence (EMA_THREADS=4)"
-# The batched hot path must be bit-identical to the per-window oracle:
-# the per-model property suites (values + parameter gradients) and the
-# full-pipeline results-JSON determinism case, both on a 4-worker
-# executor.
-EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q
-EMA_THREADS=4 cargo test --offline --test determinism -q batched_and_per_window_paths_emit_identical_results_json
+echo "==> forward equivalence (EMA_THREADS=4)"
+# The production forward (the grouped cohort graph, one member or B)
+# must be bit-identical to the per-window oracle: the per-model
+# property suites (values + parameter gradients) and the full-pipeline
+# results-JSON determinism case against a per-window training loop,
+# both on a 4-worker executor.
+EMA_THREADS=4 filtered_test -p ema-models --test batched_equivalence -q
+EMA_THREADS=4 filtered_test --test determinism -q batched_and_per_window_paths_emit_identical_results_json
 
 echo "==> sharded-cohort smoke (EMA_THREADS=4)"
-# Streamed sharded cohort on a 4-worker executor: the cohort-batched
-# tape graph must be bit-identical to the per-individual oracle, and
-# shard boundaries must never change numbers. Covers the 2-shard ×
-# 2-individual shape alongside shard sizes 1 and 4 (the grid inside
-# each test) for both the LSTM and a graph model (A3TGCN exercises the
+# Streamed sharded cohort on a 4-worker executor: shard boundaries
+# must never change numbers, and every shard size must match a
+# per-window training loop. Covers the 2-shard × 2-individual shape
+# alongside shard sizes 1 and 4 (the grid inside each test) for the
+# LSTM, the VAR baseline and a graph model (A3TGCN exercises the
 # grouped graph-conv/attention ops end to end), plus the 256-case
 # models-layer cohort properties.
-EMA_THREADS=4 cargo test --offline -p ema-models --test batched_equivalence -q cohort_matches_per_individual_oracle
-EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_results_identical_across_threads_shards_and_paths
-EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_graph_model_identical_across_threads_shards_and_paths
+EMA_THREADS=4 filtered_test -p ema-models --test batched_equivalence -q cohort_matches_per_individual_oracle
+EMA_THREADS=4 filtered_test --test determinism -q cohort_sharded_results_identical_across_threads_shards_and_paths
+EMA_THREADS=4 filtered_test --test determinism -q cohort_sharded_graph_model_identical_across_threads_shards_and_paths
 
 echo "==> cluster-warm-start smoke (EMA_THREADS=4)"
 # Cluster-then-personalize: the warm-started sharded cohort must stay
-# byte-identical across thread counts, shard sizes and cohort paths
-# (the plan is built once on the caller thread), and the tiny
+# byte-identical across thread counts and shard sizes and match
+# per-window fine-tunes (the plan is built once on the caller thread),
+# and the tiny
 # cluster_compare table must render and record results JSON for all
 # four models.
-EMA_THREADS=4 cargo test --offline --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
+EMA_THREADS=4 filtered_test --test determinism -q cohort_sharded_warm_start_identical_across_threads_shards_and_paths
 EMA_THREADS=4 cargo run --offline -q --release -p ema-bench --bin cluster_compare -- --scale tiny > /dev/null
 test -s results/cluster_compare.json
 

@@ -4,20 +4,152 @@
 //! re-run with the same seeds. This is the contract every experiment
 //! record in `results/` relies on.
 
+use ema_autodiff::Tape;
 use ema_core::checkpoint::Checkpoint;
 use ema_core::experiments::ExperimentScale;
 use ema_core::pipeline::{run_cohort_with, GraphSpec};
-use ema_core::Executor;
-use ema_core::{ForwardPath, KernelBackend};
 use ema_core::results::{CellStat, ResultTable};
+use ema_core::{graph_for_individual, ClusterPlan, Executor, IndividualOutcome, RunSpec};
+use ema_core::{KernelBackend, TrainConfig};
+use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset, WindowedData};
 use ema_graph::sparsify::DensityThreshold;
-use ema_models::ModelKind;
+use ema_models::{
+    A3tgcn, Astgcn, Forecaster, ForwardCtx, LstmForecaster, ModelKind, Mtgnn, VarForecaster,
+};
+use ema_nn::{Adam, Optimizer, OptimizerConfig};
 use ema_similarity::GraphMetric;
+use ema_tensor::{Rng64, Tensor};
 use std::sync::Mutex;
 
 /// Serialises the tests that flip the process-global obs mode; without
 /// it they would race through `set_mode` and `begin_run_in`.
 static OBS_MODE_LOCK: Mutex<()> = Mutex::new(());
+
+/// The per-window reference pipeline for one individual, independent of
+/// the production training loop and grouped forward: split → graph →
+/// model → full-batch Adam where every epoch forwards each window
+/// through `predict_window` on one tape and stacks the predictions →
+/// per-window eval predictions. Under a cluster plan the individual
+/// fine-tunes from its cluster's checkpoint instead.
+fn per_window_oracle(
+    id: usize,
+    data: &Tensor,
+    spec: &RunSpec,
+    plan: Option<&ClusterPlan>,
+) -> IndividualOutcome {
+    let _kernel = spec.train_config.kernel_backend.scoped();
+    let (train, test) = split_train_test(data, spec.train_fraction);
+    let graph = match &spec.graph {
+        GraphSpec::None => None,
+        GraphSpec::Static { metric, gdt } => Some(graph_for_individual(&train, *metric, *gdt)),
+        GraphSpec::Provided(g) => Some(g.clone()),
+    };
+    let (v, s, cfg) = (data.dims()[1], spec.seq_len, &spec.model_config);
+    let mut model: Box<dyn Forecaster> = match spec.model {
+        ModelKind::Lstm => Box::new(LstmForecaster::new(v, cfg)),
+        ModelKind::A3tgcn => {
+            Box::new(A3tgcn::with_options(v, graph.as_ref().unwrap(), cfg, spec.use_attention))
+        }
+        ModelKind::Astgcn => Box::new(Astgcn::with_options(
+            v,
+            s,
+            graph.as_ref().unwrap(),
+            cfg,
+            spec.use_spatial_attention,
+        )),
+        ModelKind::Mtgnn => Box::new(Mtgnn::with_learner(
+            v,
+            s,
+            graph.as_ref(),
+            cfg,
+            spec.learn_graph,
+            spec.graph_learner,
+        )),
+        ModelKind::Var => Box::new(VarForecaster::new(v, s, cfg)),
+    };
+    let mut config = spec.train_config.clone();
+    config.seed = ema_tensor::derive_stream_seed(spec.train_config.seed, id as u64);
+    if let Some(plan) = plan {
+        config.epochs = plan.fine_tune_epochs;
+        config.warm_start = Some(plan.checkpoint(plan.assign(&train)));
+    }
+    let losses = per_window_train(&mut *model, &make_windows(&train, s), &config);
+
+    let test_windows = make_test_windows(&train, &test, s);
+    let mut eval_rng = Rng64::seed_from(0);
+    let preds: Vec<Tensor> =
+        test_windows.inputs.iter().map(|w| model.predict(w, &mut eval_rng)).collect();
+    let preds = Tensor::stack_rows(&preds);
+    let targets = test_windows.targets_matrix();
+    let (n, vars) = (preds.dims()[0], preds.dims()[1]);
+    let per_variable_mse = (0..vars)
+        .map(|j| {
+            let mut acc = 0.0;
+            for i in 0..n {
+                let d = preds.at2(i, j) - targets.at2(i, j);
+                acc += d * d;
+            }
+            acc / n as f64
+        })
+        .collect();
+    IndividualOutcome {
+        id,
+        mse: preds.mse(&targets),
+        per_variable_mse,
+        final_train_loss: losses.last().copied().unwrap_or(0.0),
+        epochs_run: losses.len(),
+        graph_used: graph,
+        learned_graph: None,
+    }
+}
+
+/// Full-batch Adam through the per-window graph, with the same warm
+/// start, early-stopping rule and RNG stream as the production loop;
+/// returns the per-epoch training losses.
+fn per_window_train(
+    model: &mut dyn Forecaster,
+    windows: &WindowedData,
+    config: &TrainConfig,
+) -> Vec<f64> {
+    if let Some(ckpt) = &config.warm_start {
+        ckpt.restore(model.params_mut()).unwrap();
+    }
+    let mut adam = Adam::new(OptimizerConfig {
+        learning_rate: config.learning_rate,
+        grad_clip: config.grad_clip,
+        ..OptimizerConfig::default()
+    });
+    let mut rng = Rng64::seed_from(config.seed);
+    let targets = windows.targets_matrix();
+    let (mut losses, mut best, mut since_best) = (Vec::new(), f64::INFINITY, 0usize);
+    for _ in 0..config.epochs {
+        let tape = Tape::new();
+        let tgt = tape.leaf(targets.clone());
+        let binding = model.params().bind(&tape);
+        let mut ctx = ForwardCtx::train(&mut rng);
+        let preds: Vec<_> = windows
+            .inputs
+            .iter()
+            .map(|w| model.predict_window(&tape, &binding, w, &mut ctx))
+            .collect();
+        let loss = tape.mse(tape.stack_rows(&preds), tgt);
+        let loss_value = tape.value(loss).data()[0];
+        losses.push(loss_value);
+        adam.step(model.params_mut(), &binding, &tape.backward(loss));
+        if config.early_stop_rel > 0.0 {
+            if loss_value < best * (1.0 - config.early_stop_rel) {
+                best = loss_value;
+                since_best = 0;
+            } else {
+                since_best += 1;
+                if since_best >= config.patience {
+                    break;
+                }
+            }
+        }
+    }
+    losses
+}
 
 /// A seconds-scale slice of the Table II pipeline: one LSTM row and one
 /// graph-model row over a tiny cohort.
@@ -28,22 +160,23 @@ fn tiny_results_json() -> String {
 /// [`tiny_results_json`] on an explicit executor, so tests can pin the
 /// thread count.
 fn tiny_results_json_with(executor: &Executor) -> String {
-    tiny_results_json_on(executor, ForwardPath::default())
+    tiny_results_json_kernel(executor, KernelBackend::default())
 }
 
-/// [`tiny_results_json_with`] with an explicit training forward path
-/// (batched hot path vs per-window oracle).
-fn tiny_results_json_on(executor: &Executor, forward_path: ForwardPath) -> String {
-    tiny_results_json_kernel(executor, forward_path, KernelBackend::default())
+/// [`tiny_results_json_with`] with an explicit matmul kernel backend.
+/// Pinning the backend in the spec makes the probe independent of the
+/// `EMA_KERNEL` environment the test process runs under.
+fn tiny_results_json_kernel(executor: &Executor, kernel_backend: KernelBackend) -> String {
+    tiny_results_json_from(kernel_backend, &|dataset, spec| {
+        run_cohort_with(dataset, spec, executor).iter().map(|o| o.mse).collect()
+    })
 }
 
-/// The full knob set: executor, forward path, and matmul kernel
-/// backend. Pinning the backend in the spec makes the probe independent
-/// of the `EMA_KERNEL` environment the test process runs under.
-fn tiny_results_json_kernel(
-    executor: &Executor,
-    forward_path: ForwardPath,
+/// The tiny results table, with each condition's per-individual test
+/// MSEs computed by `run`.
+fn tiny_results_json_from(
     kernel_backend: KernelBackend,
+    run: &dyn Fn(&EmaDataset, &RunSpec) -> Vec<f64>,
 ) -> String {
     let mut scale = ExperimentScale::tiny();
     scale.num_individuals = 2;
@@ -63,10 +196,8 @@ fn tiny_results_json_kernel(
         ),
     ] {
         let mut spec = scale.spec(model, graph, 2);
-        spec.train_config.forward_path = forward_path;
         spec.train_config.kernel_backend = kernel_backend;
-        let outcomes = run_cohort_with(&dataset, &spec, executor);
-        let mses: Vec<f64> = outcomes.iter().map(|o| o.mse).collect();
+        let mses = run(&dataset, &spec);
         table.push_row(label, vec![CellStat::from_samples(&mses)]);
     }
     table.to_json()
@@ -85,26 +216,27 @@ fn same_seed_pipeline_runs_emit_byte_identical_json() {
     assert_eq!(parsed.to_json(), first);
 }
 
-/// The batched forward path (one tape graph per epoch,
-/// `Forecaster::predict_batch`) must emit results JSON byte-identical
-/// to the per-window oracle (`predict_window` per window), at both
+/// The production forward (one grouped tape graph per epoch) must emit
+/// results JSON byte-identical to the per-window oracle
+/// (`predict_window` per window, a test-local training loop), at both
 /// thread counts — dropout masks are drawn window-major so the RNG
 /// stream, and hence every byte, matches.
 #[test]
 fn batched_and_per_window_paths_emit_identical_results_json() {
-    let batched_seq = tiny_results_json_on(&Executor::sequential(), ForwardPath::Batched);
-    let oracle_seq = tiny_results_json_on(&Executor::sequential(), ForwardPath::PerWindow);
-    assert!(
-        batched_seq == oracle_seq,
-        "threads=1: batched vs per-window diverged:\n--- batched ---\n{batched_seq}\n--- oracle ---\n{oracle_seq}"
-    );
-    let batched_pool = tiny_results_json_on(&Executor::with_threads(4), ForwardPath::Batched);
-    let oracle_pool = tiny_results_json_on(&Executor::with_threads(4), ForwardPath::PerWindow);
-    assert!(
-        batched_pool == oracle_pool,
-        "threads=4: batched vs per-window diverged:\n--- batched ---\n{batched_pool}\n--- oracle ---\n{oracle_pool}"
-    );
-    assert!(batched_seq == batched_pool, "batched path: threads=1 vs threads=4 diverged");
+    let oracle = tiny_results_json_from(KernelBackend::default(), &|dataset, spec| {
+        dataset
+            .individuals
+            .iter()
+            .map(|ind| per_window_oracle(ind.id, &ind.data, spec, None).mse)
+            .collect()
+    });
+    for threads in [1, 4] {
+        let production = tiny_results_json_with(&Executor::with_threads(threads));
+        assert!(
+            production == oracle,
+            "threads={threads}: production vs per-window oracle diverged:\n--- production ---\n{production}\n--- oracle ---\n{oracle}"
+        );
+    }
 }
 
 /// The cohort executor's headline guarantee: results JSON is
@@ -288,16 +420,8 @@ fn warm_buffer_pool_never_changes_results_json() {
 /// every random stream is derived from `(run seed, id)`).
 #[test]
 fn simd_backend_results_json_identical_across_thread_counts() {
-    let sequential = tiny_results_json_kernel(
-        &Executor::sequential(),
-        ForwardPath::default(),
-        KernelBackend::Simd,
-    );
-    let pooled = tiny_results_json_kernel(
-        &Executor::with_threads(4),
-        ForwardPath::default(),
-        KernelBackend::Simd,
-    );
+    let sequential = tiny_results_json_kernel(&Executor::sequential(), KernelBackend::Simd);
+    let pooled = tiny_results_json_kernel(&Executor::with_threads(4), KernelBackend::Simd);
     assert!(
         sequential == pooled,
         "EMA_KERNEL=simd: threads=1 vs threads=4 diverged:\n--- threads=1 ---\n{sequential}\n--- threads=4 ---\n{pooled}"
@@ -318,11 +442,7 @@ fn scalar_backend_results_match_committed_baseline() {
         .nth(2)
         .expect("workspace root")
         .join("tests/fixtures/scalar_baseline.json");
-    let current = tiny_results_json_kernel(
-        &Executor::with_threads(4),
-        ForwardPath::default(),
-        KernelBackend::Scalar,
-    );
+    let current = tiny_results_json_kernel(&Executor::with_threads(4), KernelBackend::Scalar);
     if std::env::var_os("EMA_WRITE_BASELINE").is_some() {
         std::fs::write(&fixture, &current).expect("write scalar baseline fixture");
         return;
@@ -335,36 +455,12 @@ fn scalar_backend_results_match_committed_baseline() {
     );
 }
 
-/// A per-individual record of a streamed sharded cohort run; sharding
-/// must be invisible in it byte for byte.
-fn cohort_sharded_results_json(
-    threads: usize,
-    shard_size: usize,
-    path: ema_core::CohortPath,
-    model: ModelKind,
-    graph: GraphSpec,
-) -> String {
-    cohort_sharded_strategy_results_json(
-        threads,
-        shard_size,
-        path,
-        model,
-        graph,
-        ema_core::TrainStrategy::Idiographic,
-    )
-}
-
-/// Like [`cohort_sharded_results_json`] with an explicit training
-/// strategy, so the cluster-warm-start path runs the same grid.
-fn cohort_sharded_strategy_results_json(
-    threads: usize,
-    shard_size: usize,
-    path: ema_core::CohortPath,
+/// The streamed study and spec of the sharded grids.
+fn sharded_setup(
     model: ModelKind,
     graph: GraphSpec,
     strategy: ema_core::TrainStrategy,
-) -> String {
-    use ema_core::{run_cohort_sharded, Json, RunSpec, TrainConfig};
+) -> (ema_data::EmaGenerator, RunSpec) {
     use ema_data::{EmaGenerator, GeneratorConfig};
     use ema_models::ModelConfig;
 
@@ -372,10 +468,15 @@ fn cohort_sharded_strategy_results_json(
     let mut spec = RunSpec::new(model, graph, 2);
     spec.model_config = ModelConfig::tiny(0);
     spec.train_config = TrainConfig::quick(3, 7);
-    spec.cohort_path = path;
     spec.train_strategy = strategy;
-    let executor = Executor::with_threads(threads);
-    let outcomes = run_cohort_sharded(&generator, &spec, shard_size, &executor);
+    (generator, spec)
+}
+
+/// A per-individual record of a streamed sharded cohort run; sharding
+/// must be invisible in it byte for byte.
+fn outcomes_json(outcomes: &[IndividualOutcome]) -> String {
+    use ema_core::Json;
+
     Json::Arr(
         outcomes
             .iter()
@@ -396,67 +497,109 @@ fn cohort_sharded_strategy_results_json(
     .compact()
 }
 
-/// The streaming sharded cohort path's headline guarantee: results are
-/// byte-identical at every `(thread count, shard size)` pair — shard
-/// boundaries never change numbers because every per-individual stream
-/// is derived from `(run seed, id)` — and the cohort-batched tape graph
-/// matches the per-individual oracle path byte for byte.
-#[test]
-fn cohort_sharded_results_identical_across_threads_shards_and_paths() {
-    use ema_core::CohortPath;
+/// [`outcomes_json`] of `run_cohort_sharded` at the given thread count
+/// and shard size.
+fn cohort_sharded_results_json(
+    threads: usize,
+    shard_size: usize,
+    model: ModelKind,
+    graph: GraphSpec,
+    strategy: ema_core::TrainStrategy,
+) -> String {
+    let (generator, spec) = sharded_setup(model, graph, strategy);
+    let executor = Executor::with_threads(threads);
+    outcomes_json(&ema_core::run_cohort_sharded(&generator, &spec, shard_size, &executor))
+}
 
-    let run = |threads, shard, path| {
-        cohort_sharded_results_json(threads, shard, path, ModelKind::Lstm, GraphSpec::None)
+/// [`outcomes_json`] of the per-window oracle on every individual of
+/// the same study (under a warm-start strategy, fine-tuned from the
+/// same cluster plan).
+fn cohort_oracle_results_json(
+    model: ModelKind,
+    graph: GraphSpec,
+    strategy: ema_core::TrainStrategy,
+) -> String {
+    let (generator, spec) = sharded_setup(model, graph, strategy);
+    let plan = match strategy {
+        ema_core::TrainStrategy::Idiographic => None,
+        ema_core::TrainStrategy::ClusterWarmStart { .. } => {
+            Some(ema_core::plan_clusters(&generator, &spec))
+        }
     };
-    let baseline = run(1, 1, CohortPath::Batched);
-    // (4, 2) is the CI smoke shape: 2 shards × 2 individuals on a
-    // 4-worker executor.
-    for (threads, shard) in [(4, 4), (4, 2), (4, 1)] {
-        let probe = run(threads, shard, CohortPath::Batched);
+    let outcomes: Vec<IndividualOutcome> = generator
+        .generate()
+        .individuals
+        .iter()
+        .map(|ind| per_window_oracle(ind.id, &ind.data, &spec, plan.as_ref()))
+        .collect();
+    outcomes_json(&outcomes)
+}
+
+/// Runs the sharded grid for one condition: results byte-identical at
+/// every `(thread count, shard size)` pair and to the per-window
+/// oracle.
+fn assert_sharded_grid(
+    label: &str,
+    model: ModelKind,
+    graph: GraphSpec,
+    strategy: ema_core::TrainStrategy,
+    grid: &[(usize, usize)],
+) {
+    let run = |threads, shard| {
+        cohort_sharded_results_json(threads, shard, model, graph.clone(), strategy)
+    };
+    let baseline = run(1, 1);
+    for &(threads, shard) in grid {
+        let probe = run(threads, shard);
         assert!(
             baseline == probe,
-            "threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
+            "{label}: threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
         );
     }
-    let oracle = run(4, 4, CohortPath::PerIndividual);
+    let oracle = cohort_oracle_results_json(model, graph, strategy);
     assert!(
         baseline == oracle,
-        "cohort-batched path diverged from the per-individual oracle:\n--- batched ---\n{baseline}\n--- oracle ---\n{oracle}"
+        "{label}: cohort path diverged from the per-window oracle:\n--- cohort ---\n{baseline}\n--- oracle ---\n{oracle}"
     );
 }
 
-/// Same grid for a graph model: the grouped graph-conv/attention tape
-/// ops must keep sharding invisible and match the per-individual
-/// oracle byte for byte, with each individual's training-split graph
-/// built on whichever worker generates its shard.
+/// The streaming sharded cohort path's headline guarantee: results are
+/// byte-identical at every `(thread count, shard size)` pair — shard
+/// boundaries never change numbers because every per-individual stream
+/// is derived from `(run seed, id)` — and match the per-window oracle
+/// byte for byte. Covers the LSTM and the VAR baseline.
 #[test]
-fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
-    use ema_core::CohortPath;
+fn cohort_sharded_results_identical_across_threads_shards_and_paths() {
+    use ema_core::TrainStrategy;
 
-    let run = |threads, shard, path| {
-        cohort_sharded_results_json(
-            threads,
-            shard,
-            path,
-            ModelKind::A3tgcn,
-            GraphSpec::Static {
-                metric: ema_similarity::GraphMetric::Correlation,
-                gdt: ema_graph::sparsify::DensityThreshold::Gdt40,
-            },
-        )
-    };
-    let baseline = run(1, 1, CohortPath::Batched);
-    for (threads, shard) in [(4, 4), (4, 2), (4, 1)] {
-        let probe = run(threads, shard, CohortPath::Batched);
-        assert!(
-            baseline == probe,
-            "threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
+    // (4, 2) is the CI smoke shape: 2 shards × 2 individuals on a
+    // 4-worker executor.
+    for (label, model) in [("LSTM", ModelKind::Lstm), ("VAR", ModelKind::Var)] {
+        assert_sharded_grid(
+            label,
+            model,
+            GraphSpec::None,
+            TrainStrategy::Idiographic,
+            &[(4, 4), (4, 2), (4, 1)],
         );
     }
-    let oracle = run(4, 4, CohortPath::PerIndividual);
-    assert!(
-        baseline == oracle,
-        "cohort-batched graph model diverged from the per-individual oracle:\n--- batched ---\n{baseline}\n--- oracle ---\n{oracle}"
+}
+
+/// Same grid for a graph model: the grouped graph-conv/attention tape
+/// ops must keep sharding invisible and match the per-window oracle
+/// byte for byte, with each individual's training-split graph built on
+/// whichever worker generates its shard.
+#[test]
+fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
+    assert_sharded_grid(
+        "A3TGCN",
+        ModelKind::A3tgcn,
+        GraphSpec::Static {
+            metric: ema_similarity::GraphMetric::Correlation,
+            gdt: ema_graph::sparsify::DensityThreshold::Gdt40,
+        },
+        ema_core::TrainStrategy::Idiographic,
+        &[(4, 4), (4, 2), (4, 1)],
     );
 }
 
@@ -465,44 +608,25 @@ fn cohort_sharded_graph_model_identical_across_threads_shards_and_paths() {
 /// the caller thread, and warm-started fine-tunes derive their streams
 /// from `(run seed, id)` exactly as idiographic runs do — so results
 /// are byte-identical at every `(thread count, shard size)` pair and
-/// the batched warm path matches the per-individual warm oracle.
+/// the warm path matches per-window fine-tunes from the same plan.
 #[test]
 fn cohort_sharded_warm_start_identical_across_threads_shards_and_paths() {
-    use ema_core::{CohortPath, TrainStrategy};
-
-    let run = |threads, shard, path| {
-        cohort_sharded_strategy_results_json(
-            threads,
-            shard,
-            path,
-            ModelKind::Lstm,
-            GraphSpec::None,
-            TrainStrategy::ClusterWarmStart {
-                k: 2,
-                cluster_epochs: 3,
-                fine_tune_epochs: 2,
-            },
-        )
-    };
-    let baseline = run(1, 1, CohortPath::Batched);
-    for (threads, shard) in [(4, 4), (4, 1)] {
-        let probe = run(threads, shard, CohortPath::Batched);
-        assert!(
-            baseline == probe,
-            "warm start: threads={threads}, shard={shard} diverged from threads=1, shard=1:\n--- baseline ---\n{baseline}\n--- probe ---\n{probe}"
-        );
-    }
-    let oracle = run(4, 4, CohortPath::PerIndividual);
-    assert!(
-        baseline == oracle,
-        "warm-started batched path diverged from the per-individual warm oracle:\n--- batched ---\n{baseline}\n--- oracle ---\n{oracle}"
+    assert_sharded_grid(
+        "LSTM warm start",
+        ModelKind::Lstm,
+        GraphSpec::None,
+        ema_core::TrainStrategy::ClusterWarmStart {
+            k: 2,
+            cluster_epochs: 3,
+            fine_tune_epochs: 2,
+        },
+        &[(4, 4), (4, 1)],
     );
 }
 
 #[test]
 fn same_seed_training_yields_byte_identical_checkpoints() {
     use ema_models::{build_model, ModelConfig};
-    use ema_tensor::{Rng64, Tensor};
 
     let capture = || {
         let mut rng = Rng64::seed_from(77);
