@@ -27,8 +27,6 @@ pub enum Op {
     Scale(Var, f64),
     /// Matrix product `[m,k] x [k,n]`.
     Matmul(Var, Var),
-    /// Transpose-aware product `aᵀ·b`: `[k,m]ᵀ x [k,n]`.
-    MatmulTN(Var, Var),
     /// Transpose-aware product `a·bᵀ`: `[m,k] x [n,k]ᵀ`.
     MatmulNT(Var, Var),
     /// Fused linear layer `x·wᵀ + bias` for `x: [n,k]`, `w: [out,k]`,
@@ -38,10 +36,6 @@ pub enum Op {
     /// (i|f|g|o order) and previous cell state `[n, H]`; the node value
     /// is `[n, 2H]` holding `[h' | c']`.
     LstmCell(Var, Var),
-    /// Fused GRU cell step. Fields: input-side and hidden-side gate
-    /// pre-activations (both `[n, 3H]`, r|z|n order) and previous
-    /// hidden state `[n, H]`; the node value is the new hidden state.
-    GruCell(Var, Var, Var),
     /// Matrix transpose.
     Transpose(Var),
     /// Elementwise `tanh`.
@@ -50,8 +44,6 @@ pub enum Op {
     Sigmoid(Var),
     /// Elementwise `max(0, x)`.
     Relu(Var),
-    /// Elementwise leaky ReLU with the given negative slope.
-    LeakyRelu(Var, f64),
     /// Elementwise square.
     Square(Var),
     /// Softmax over the last axis (rank 1 or 2).
@@ -62,8 +54,6 @@ pub enum Op {
     MeanAll(Var),
     /// `[r,c]` matrix plus a `[c]` row vector broadcast over rows.
     AddRowBroadcast(Var, Var),
-    /// `[r,c]` matrix times a `[c]` row vector broadcast over rows.
-    MulRowBroadcast(Var, Var),
     /// Horizontal concatenation of two matrices.
     HCat(Var, Var),
     /// Vertical concatenation of two matrices.
@@ -158,99 +148,5 @@ impl<T> std::ops::Deref for GroupList<T> {
             GroupList::One(one) => std::slice::from_ref(one),
             GroupList::Many(items) => items,
         }
-    }
-}
-
-impl Op {
-    /// The parent variables this op reads, in positional order.
-    #[must_use]
-    pub fn parents(&self) -> Vec<Var> {
-        match self {
-            Op::Leaf => vec![],
-            Op::Add(a, b)
-            | Op::Sub(a, b)
-            | Op::Mul(a, b)
-            | Op::Div(a, b)
-            | Op::Matmul(a, b)
-            | Op::MatmulTN(a, b)
-            | Op::MatmulNT(a, b)
-            | Op::LstmCell(a, b)
-            | Op::AddRowBroadcast(a, b)
-            | Op::MulRowBroadcast(a, b)
-            | Op::HCat(a, b)
-            | Op::VCat(a, b)
-            | Op::BlockLhsMatmul(a, b, _)
-            | Op::BlockMatmul(a, b, _)
-            | Op::BlockMatmulNT(a, b, _) => vec![*a, *b],
-            Op::Addmm(a, b, c) | Op::GruCell(a, b, c) => vec![*a, *b, *c],
-            Op::AddScalar(a, _)
-            | Op::Scale(a, _)
-            | Op::Transpose(a)
-            | Op::Tanh(a)
-            | Op::Sigmoid(a)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Square(a)
-            | Op::SoftmaxLast(a)
-            | Op::SumAll(a)
-            | Op::MeanAll(a)
-            | Op::SliceRows(a, _, _)
-            | Op::SliceCols(a, _, _)
-            | Op::Reshape(a)
-            | Op::Dropout(a, _) => vec![*a],
-            Op::StackRows(vars) => vars.clone(),
-            Op::StackWindowBlocks(vars, _) => vars.clone(),
-            Op::GroupLinear(x, params, _, _) => {
-                let mut out = vec![*x];
-                for &(w, b) in params.iter() {
-                    out.push(w);
-                    out.push(b);
-                }
-                out
-            }
-            Op::GroupMatmul(x, rhses, _, _, _)
-            | Op::GroupMatmulNT(x, rhses, _, _)
-            | Op::GroupAddRow(x, rhses, _, _) => {
-                let mut out = vec![*x];
-                out.extend_from_slice(rhses);
-                out
-            }
-            Op::GroupBlockLhsMatmul(lhses, x, _) => {
-                let mut out = lhses.to_vec();
-                out.push(*x);
-                out
-            }
-        }
-    }
-
-    /// True for nodes with no parents.
-    #[must_use]
-    pub fn is_leaf(&self) -> bool {
-        matches!(self, Op::Leaf)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parents_of_binary_ops() {
-        let a = Var::from_raw(0);
-        let b = Var::from_raw(1);
-        assert_eq!(Op::Add(a, b).parents(), vec![a, b]);
-        assert_eq!(Op::Matmul(a, b).parents(), vec![a, b]);
-    }
-
-    #[test]
-    fn parents_of_leaf_is_empty() {
-        assert!(Op::Leaf.parents().is_empty());
-        assert!(Op::Leaf.is_leaf());
-    }
-
-    #[test]
-    fn parents_of_stack_preserves_order() {
-        let vars: Vec<Var> = (0..4).map(Var::from_raw).collect();
-        assert_eq!(Op::StackRows(vars.clone()).parents(), vars);
     }
 }

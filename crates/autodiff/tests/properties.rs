@@ -17,7 +17,7 @@ enum UnaryOp {
     Square,
     ScaleHalf,
     AddOne,
-    LeakyRelu,
+    Relu,
 }
 
 impl UnaryOp {
@@ -28,7 +28,7 @@ impl UnaryOp {
             UnaryOp::Square => tape.square(v),
             UnaryOp::ScaleHalf => tape.scale(v, 0.5),
             UnaryOp::AddOne => tape.add_scalar(v, 1.0),
-            UnaryOp::LeakyRelu => tape.leaky_relu(v, 0.1),
+            UnaryOp::Relu => tape.relu(v),
         }
     }
 }
@@ -39,7 +39,7 @@ const ALL_OPS: [UnaryOp; 6] = [
     UnaryOp::Square,
     UnaryOp::ScaleHalf,
     UnaryOp::AddOne,
-    UnaryOp::LeakyRelu,
+    UnaryOp::Relu,
 ];
 
 fn op_chain(rng: &mut Rng64) -> Vec<UnaryOp> {
@@ -52,7 +52,7 @@ prop_tests! {
     fn random_compositions_pass_gradient_check(
         (x, ops) in |rng: &mut Rng64| (vec_tensor(5)(rng), op_chain(rng)),
     ) {
-        // Keep clear of the leaky-ReLU kink where finite differences lie.
+        // Keep clear of the ReLU kink where finite differences lie.
         let x = x.map(|v| if v.abs() < 0.05 { v + 0.1 } else { v });
         let report = ema_autodiff::check::check_gradient(&x, 1e-5, |tape, v| {
             let mut cur = v;

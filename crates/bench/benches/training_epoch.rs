@@ -10,7 +10,7 @@ use ema_core::{train_model, TrainConfig};
 use ema_data::{make_windows, split_train_test};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{build_model, CohortBatch, CohortCtx, ModelConfig, ModelKind};
-use ema_nn::{Adam, Optimizer, OptimizerConfig};
+use ema_nn::Adam;
 use ema_obs::ObsMode;
 use ema_tensor::{Rng64, Tensor};
 use std::hint::black_box;
@@ -29,7 +29,7 @@ fn bench_epoch(c: &mut Harness) {
     for kind in ModelKind::all() {
         let g = if kind.uses_graph() { Some(&graph) } else { None };
         let mut model = build_model(kind, V, SEQ, &ModelConfig::default(), g);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
+        let mut adam = Adam::new(0.01);
         let mut drop_rng = [Rng64::seed_from(2)];
         // Persistent workspaces, exactly like `ema_core::train_model`:
         // the measured iteration is a *steady-state* epoch on the

@@ -108,54 +108,3 @@ pub fn peak_bytes() -> u64 {
 pub fn reset_peak_bytes() {
     PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn counter_observes_heap_allocations() {
-        let before = alloc_count();
-        let v: Vec<u64> = Vec::with_capacity(1024);
-        std::hint::black_box(&v);
-        drop(v);
-        let after = alloc_count();
-        assert!(after > before, "Vec::with_capacity must count as an alloc");
-    }
-
-    #[test]
-    fn counter_is_monotonic() {
-        let a = alloc_count();
-        let b = alloc_count();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn peak_bytes_tracks_a_regions_high_water_mark() {
-        reset_peak_bytes();
-        let base = peak_bytes();
-        let v: Vec<u8> = vec![0; 1 << 20];
-        std::hint::black_box(&v);
-        let with_buf = peak_bytes();
-        assert!(
-            with_buf >= base + (1 << 20),
-            "peak {with_buf} did not cover the 1 MiB buffer over base {base}"
-        );
-        drop(v);
-        // Peak is a high-water mark: freeing must not lower it.
-        assert!(peak_bytes() >= with_buf);
-        // Rebasing returns it to the (now lower) live footprint.
-        reset_peak_bytes();
-        assert!(peak_bytes() < with_buf);
-    }
-
-    #[test]
-    fn live_bytes_falls_after_free() {
-        let before = live_bytes();
-        let v: Vec<u8> = vec![0; 1 << 16];
-        std::hint::black_box(&v);
-        assert!(live_bytes() >= before + (1 << 16));
-        drop(v);
-        assert!(live_bytes() < before + (1 << 16));
-    }
-}

@@ -122,6 +122,42 @@ pub struct Bencher {
 }
 
 impl Bencher {
+    /// A bencher for one benchmark under `config`.
+    #[must_use]
+    pub fn new(config: Config) -> Self {
+        Self {
+            config,
+            items_per_iter: None,
+            result: None,
+            allocs_per_iter: None,
+            peak_bytes: None,
+        }
+    }
+
+    /// The recorded statistics as the [`BenchResult`] named `name`.
+    ///
+    /// # Panics
+    /// Panics unless [`Bencher::iter`] ran.
+    #[must_use]
+    pub fn into_result(self, name: &str) -> BenchResult {
+        let (median_ns, min_ns, mean_ns, iters) = self
+            .result
+            .expect("benchmark closure must call Bencher::iter");
+        BenchResult {
+            name: name.to_string(),
+            median_ns,
+            min_ns,
+            mean_ns,
+            // The bencher's own config: Bencher::samples may have
+            // overridden the suite-wide count.
+            samples: self.config.samples,
+            iters_per_sample: iters,
+            items_per_iter: self.items_per_iter,
+            allocs_per_iter: self.allocs_per_iter,
+            peak_bytes: self.peak_bytes,
+        }
+    }
+
     /// Declares how many logical items one iteration processes (e.g.
     /// individuals per cohort run); the suite then reports and records
     /// a `throughput_per_sec` figure alongside the timing.
@@ -217,13 +253,7 @@ impl Harness {
                 return;
             }
         }
-        let mut bencher = Bencher {
-            config: self.config,
-            items_per_iter: None,
-            result: None,
-            allocs_per_iter: None,
-            peak_bytes: None,
-        };
+        let mut bencher = Bencher::new(self.config);
         {
             let _bench_span = ema_obs::span!("bench", suite = self.suite.as_str(), name = name);
             f(&mut bencher);
@@ -231,31 +261,19 @@ impl Harness {
             // phase rather than letting it leak into a later drain site.
             ema_obs::drain_kernel_counters();
         }
-        let (median_ns, min_ns, mean_ns, iters) = bencher
-            .result
-            .expect("benchmark closure must call Bencher::iter");
-        ema_obs::recorder().set_gauge(&format!("bench_median_ns.{}.{name}", self.suite), median_ns);
-        if let Some(allocs) = bencher.allocs_per_iter {
+        let result = bencher.into_result(name);
+        ema_obs::recorder().set_gauge(
+            &format!("bench_median_ns.{}.{name}", self.suite),
+            result.median_ns,
+        );
+        if let Some(allocs) = result.allocs_per_iter {
             ema_obs::recorder()
                 .set_gauge(&format!("bench_allocs_per_iter.{}.{name}", self.suite), allocs);
         }
-        if let Some(peak) = bencher.peak_bytes {
+        if let Some(peak) = result.peak_bytes {
             ema_obs::recorder()
                 .set_gauge(&format!("bench_peak_bytes.{}.{name}", self.suite), peak);
         }
-        let result = BenchResult {
-            name: name.to_string(),
-            median_ns,
-            min_ns,
-            mean_ns,
-            // The bencher's own config: Bencher::samples may have
-            // overridden the suite-wide count.
-            samples: bencher.config.samples,
-            iters_per_sample: iters,
-            items_per_iter: bencher.items_per_iter,
-            allocs_per_iter: bencher.allocs_per_iter,
-            peak_bytes: bencher.peak_bytes,
-        };
         let throughput = result
             .throughput_per_sec()
             .map(|tp| format!("  ({tp:.2} items/s)"))
@@ -273,12 +291,12 @@ impl Harness {
         println!(
             "{:<40} median {:>12} /iter{}{}  (min {}, {} samples × {} iters)",
             name,
-            format_ns(median_ns),
+            format_ns(result.median_ns),
             throughput,
             allocs,
-            format_ns(min_ns),
+            format_ns(result.min_ns),
             result.samples,
-            iters,
+            result.iters_per_sample,
         );
         self.results.push(result);
     }
@@ -338,45 +356,6 @@ fn format_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bencher_measures_and_harness_records() {
-        let mut bencher = Bencher {
-            config: Config {
-                samples: 3,
-                sample_ms: 0.05,
-                warmup_ms: 0.05,
-            },
-            items_per_iter: None,
-            result: None,
-            allocs_per_iter: None,
-            peak_bytes: None,
-        };
-        bencher.iter(|| std::hint::black_box(42u64.wrapping_mul(7)));
-        let (median, min, mean, iters) = bencher.result.unwrap();
-        assert!(median > 0.0 && min > 0.0 && mean > 0.0);
-        assert!(min <= median && median <= mean * 3.0);
-        assert!(iters >= 1);
-        // An allocation-free workload measures zero allocs per iter.
-        assert_eq!(bencher.allocs_per_iter, Some(0.0));
-    }
-
-    #[test]
-    fn bencher_counts_allocating_workloads() {
-        let mut bencher = Bencher {
-            config: Config {
-                samples: 2,
-                sample_ms: 0.05,
-                warmup_ms: 0.05,
-            },
-            items_per_iter: None,
-            result: None,
-            allocs_per_iter: None,
-            peak_bytes: None,
-        };
-        bencher.iter(|| std::hint::black_box(vec![0u8; 256]));
-        assert!(bencher.allocs_per_iter.unwrap() >= 1.0);
-    }
 
     #[test]
     fn results_serialise_to_bench_json_shape() {

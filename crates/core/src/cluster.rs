@@ -1,5 +1,5 @@
-//! Cluster-then-personalize training: K-medoids cluster models, a
-//! cluster-checkpoint cache, and warm-start fine-tuning.
+//! Cluster-then-personalize training: K-medoids cluster models, one
+//! checkpoint per cluster, and warm-start fine-tuning.
 //!
 //! At cohort scale, training every individual from scratch repeats most
 //! of the work: EMA studies cluster into a few behavioural regimes
@@ -9,13 +9,14 @@
 //! individuals, clusters their flattened **training-split** series with
 //! seeded K-medoids ([`ema_similarity::k_medoids`] — no test leakage),
 //! trains **one model per cluster** on the medoid individuals via the
-//! existing [`crate::cohort::train_cohort`] machinery, and stores the
-//! resulting parameters in an in-memory [`ClusterCheckpointCache`]
-//! keyed `(model, outcome, cluster)` (persistable as checkpoint JSON).
-//! The fine-tune phase then assigns each streamed individual to its
-//! nearest medoid and trains `fine_tune_epochs` epochs from the
-//! cluster checkpoint instead of `epochs` from scratch — K trainings
-//! plus N cheap fine-tunes instead of N full trainings.
+//! existing [`crate::cohort::train_cohort`] machinery, and keeps the
+//! resulting checkpoints in cluster order on the [`ClusterPlan`]. A
+//! plan belongs to one `(model, run condition)` pair, so the cluster
+//! index alone selects a checkpoint. The fine-tune phase then assigns
+//! each streamed individual to its nearest medoid and trains
+//! `fine_tune_epochs` epochs from the cluster checkpoint instead of
+//! `epochs` from scratch — K trainings plus N cheap fine-tunes instead
+//! of N full trainings.
 //!
 //! **Determinism:** the plan is built once on the calling thread of
 //! [`crate::cohort::run_cohort_sharded`] before any shard job spawns —
@@ -33,7 +34,6 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::cohort::fit_shard;
-use crate::json::Json;
 use crate::pipeline::{run_one, IndividualOutcome, RunSpec};
 use ema_data::{split_train_test, EmaGenerator, Individual};
 use ema_obs::span;
@@ -42,9 +42,6 @@ use ema_similarity::{
     SeriesMetric,
 };
 use ema_tensor::Tensor;
-use std::collections::BTreeMap;
-use std::io;
-use std::path::Path;
 use std::sync::Arc;
 
 /// The RNG stream id the K-medoids init draws from, derived as
@@ -82,146 +79,8 @@ pub enum TrainStrategy {
     },
 }
 
-/// In-memory cluster-checkpoint cache, keyed
-/// `(model label, outcome key, cluster index)`. The outcome key names
-/// the run condition the checkpoints were trained under (graph spec +
-/// window length); a cache never serves a checkpoint across
-/// conditions. Persistable to/from JSON (each entry reuses the
-/// [`Checkpoint`] JSON schema, bit-exact f64).
-#[derive(Debug, Clone, Default)]
-pub struct ClusterCheckpointCache {
-    entries: BTreeMap<(String, String, usize), Arc<Checkpoint>>,
-}
-
-impl ClusterCheckpointCache {
-    /// An empty cache.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of cached checkpoints.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is cached.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Stores a cluster checkpoint.
-    pub fn insert(&mut self, model: &str, outcome: &str, cluster: usize, ckpt: Arc<Checkpoint>) {
-        self.entries.insert((model.to_string(), outcome.to_string(), cluster), ckpt);
-    }
-
-    /// Looks up a cluster checkpoint, bumping the
-    /// `cluster.cache_hits` / `cluster.cache_misses` obs counters. A
-    /// miss during [`plan_clusters`] is what triggers a cluster
-    /// training, so misses count cluster trainings and hits count
-    /// fine-tune lookups.
-    #[must_use]
-    pub fn get(&self, model: &str, outcome: &str, cluster: usize) -> Option<Arc<Checkpoint>> {
-        let found = self
-            .entries
-            .get(&(model.to_string(), outcome.to_string(), cluster))
-            .cloned();
-        let obs = ema_obs::recorder();
-        if found.is_some() {
-            obs.inc_counter("cluster.cache_hits", 1);
-        } else {
-            obs.inc_counter("cluster.cache_misses", 1);
-        }
-        found
-    }
-
-    /// Serialises the cache to JSON:
-    /// `{"entries": [{"model", "outcome", "cluster", "checkpoint"}, …]}`
-    /// with each checkpoint in the bit-exact [`Checkpoint`] schema.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        Json::obj(vec![(
-            "entries",
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|((model, outcome, cluster), ckpt)| {
-                        Json::obj(vec![
-                            ("model", Json::Str(model.clone())),
-                            ("outcome", Json::Str(outcome.clone())),
-                            ("cluster", Json::Num(*cluster as f64)),
-                            (
-                                "checkpoint",
-                                Json::parse(&ckpt.to_json())
-                                    .expect("checkpoint JSON is well-formed"),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )])
-        .pretty()
-    }
-
-    /// Parses a cache from [`Self::to_json`] output.
-    ///
-    /// # Errors
-    /// Returns `io::Error` with `InvalidData` on malformed JSON.
-    pub fn from_json(json: &str) -> io::Result<Self> {
-        let invalid =
-            |e: crate::json::JsonError| io::Error::new(io::ErrorKind::InvalidData, e.to_string());
-        let v = Json::parse(json).map_err(invalid)?;
-        let mut entries = BTreeMap::new();
-        for entry in v.require("entries").map_err(invalid)?.to_arr().map_err(invalid)? {
-            let model = entry
-                .require("model")
-                .and_then(Json::to_str)
-                .map_err(invalid)?
-                .to_string();
-            let outcome = entry
-                .require("outcome")
-                .and_then(Json::to_str)
-                .map_err(invalid)?
-                .to_string();
-            let cluster = entry
-                .require("cluster")
-                .and_then(Json::to_usize)
-                .map_err(invalid)?;
-            let ckpt = Checkpoint::from_json(&entry.require("checkpoint").map_err(invalid)?.pretty())?;
-            entries.insert((model, outcome, cluster), Arc::new(ckpt));
-        }
-        Ok(Self { entries })
-    }
-
-    /// Writes the cache to a file.
-    ///
-    /// # Errors
-    /// Propagates filesystem errors.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-
-    /// Reads a cache from a file.
-    ///
-    /// # Errors
-    /// Propagates filesystem and parse errors.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        Self::from_json(&std::fs::read_to_string(path)?)
-    }
-}
-
-/// The outcome key a spec's checkpoints are cached under: the run
-/// condition (graph spec + window length) that must match for a
-/// checkpoint to be reusable.
-#[must_use]
-pub fn outcome_key(spec: &RunSpec) -> String {
-    format!("{}@seq{}", spec.graph.label(), spec.seq_len)
-}
-
-/// The trained cluster phase: medoid series for assignment plus the
-/// checkpoint cache for warm starts. Built once per
+/// The trained cluster phase: medoid series for assignment plus one
+/// checkpoint per cluster for warm starts. Built once per
 /// [`crate::cohort::run_cohort_sharded`] run by [`plan_clusters`];
 /// read-only afterwards, shared across shard jobs.
 #[derive(Debug, Clone)]
@@ -230,12 +89,9 @@ pub struct ClusterPlan {
     pub medoid_ids: Vec<usize>,
     /// Epochs each individual fine-tunes from its cluster checkpoint.
     pub fine_tune_epochs: usize,
-    /// The cluster-checkpoint cache.
-    pub cache: ClusterCheckpointCache,
+    checkpoints: Vec<Arc<Checkpoint>>,
     medoid_series: Vec<Vec<f64>>,
     metric: SeriesMetric,
-    model_key: String,
-    outcome: String,
 }
 
 impl ClusterPlan {
@@ -258,16 +114,16 @@ impl ClusterPlan {
         )
     }
 
-    /// The cluster's checkpoint (a cache hit by construction).
+    /// The cluster's checkpoint. Bumps the `cluster.cache_hits` obs
+    /// counter: hits count fine-tune lookups.
     ///
     /// # Panics
-    /// Panics if the cluster was never trained — [`plan_clusters`]
-    /// fills every cluster, so this indicates a corrupted plan.
+    /// Panics unless `cluster < self.clusters()`.
     #[must_use]
     pub fn checkpoint(&self, cluster: usize) -> Arc<Checkpoint> {
-        self.cache
-            .get(&self.model_key, &self.outcome, cluster)
-            .expect("every planned cluster has a cached checkpoint")
+        let ckpt = Arc::clone(&self.checkpoints[cluster]);
+        ema_obs::recorder().inc_counter("cluster.cache_hits", 1);
+        ckpt
     }
 
     /// [`crate::pipeline::run_individual`] warm-started from this
@@ -283,8 +139,9 @@ impl ClusterPlan {
 /// [`TrainStrategy::ClusterWarmStart`]: sample representative
 /// individuals, cluster their training-split series with seeded
 /// K-medoids, train one model per cluster on the medoid individuals
-/// (one cohort, as any shard trains), and cache the resulting
-/// checkpoints.
+/// (one cohort, as any shard trains), and keep the resulting
+/// checkpoints. Adds K to the `cluster.cache_misses` obs counter:
+/// misses count cluster trainings.
 ///
 /// # Panics
 /// Panics when the spec's strategy is [`TrainStrategy::Idiographic`],
@@ -342,32 +199,22 @@ pub fn plan_clusters(generator: &EmaGenerator, spec: &RunSpec) -> ClusterPlan {
         clustering.medoids.iter().map(|&m| rep_series[m].clone()).collect();
 
     // Train one model per cluster on its medoid individual.
-    let model_key = spec.model.label().to_string();
-    let outcome = outcome_key(spec);
-    let mut cache = ClusterCheckpointCache::new();
-    {
+    let checkpoints = {
         let _t = span!("cluster_train", clusters = k);
         let medoids: Vec<Individual> = medoid_ids
             .iter()
             .flat_map(|&id| generator.generate_range(id, id + 1))
             .collect();
-        let checkpoints = train_cluster_checkpoints(&medoids, spec, cluster_epochs);
-        for (cluster, ckpt) in checkpoints.into_iter().enumerate() {
-            // The miss records this cluster's training in the
-            // cache-counter ledger (misses = trainings).
-            assert!(cache.get(&model_key, &outcome, cluster).is_none());
-            cache.insert(&model_key, &outcome, cluster, Arc::new(ckpt));
-        }
-    }
+        train_cluster_checkpoints(&medoids, spec, cluster_epochs)
+    };
+    ema_obs::recorder().inc_counter("cluster.cache_misses", checkpoints.len() as u64);
 
     ClusterPlan {
         medoid_ids,
         fine_tune_epochs,
-        cache,
+        checkpoints,
         medoid_series,
         metric,
-        model_key,
-        outcome,
     }
 }
 
@@ -379,14 +226,14 @@ fn train_cluster_checkpoints(
     medoids: &[Individual],
     spec: &RunSpec,
     cluster_epochs: usize,
-) -> Vec<Checkpoint> {
+) -> Vec<Arc<Checkpoint>> {
     let inputs: Vec<(usize, &Tensor)> = medoids.iter().map(|m| (m.id, &m.data)).collect();
     fit_shard(&inputs, spec, &|_train, config| {
         config.epochs = cluster_epochs;
         config.warm_start = None;
     })
     .iter()
-    .map(|f| Checkpoint::capture(f.model.params()))
+    .map(|f| Arc::new(Checkpoint::capture(f.model.params())))
     .collect()
 }
 
@@ -423,7 +270,7 @@ mod tests {
         let b = plan_clusters(&generator, &spec);
         assert_eq!(a.medoid_ids, b.medoid_ids);
         assert_eq!(a.clusters(), 2);
-        assert_eq!(a.cache.len(), 2);
+        assert_eq!(a.checkpoints.len(), 2);
         for c in 0..a.clusters() {
             let x = a.checkpoint(c);
             let y = b.checkpoint(c);
@@ -454,18 +301,6 @@ mod tests {
         };
         let plan = plan_clusters(&generator, &spec);
         assert_eq!(plan.clusters(), 2);
-    }
-
-    #[test]
-    fn cache_round_trips_through_json() {
-        let generator = generator();
-        let spec = warm_spec(ModelKind::Lstm, GraphSpec::None);
-        let plan = plan_clusters(&generator, &spec);
-        let json = plan.cache.to_json();
-        let parsed = ClusterCheckpointCache::from_json(&json).unwrap();
-        assert_eq!(parsed.len(), plan.cache.len());
-        // Byte-identical re-serialisation: bit-exact f64 all the way.
-        assert_eq!(parsed.to_json(), json);
     }
 
     #[test]

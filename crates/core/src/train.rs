@@ -9,7 +9,7 @@ use crate::checkpoint::Checkpoint;
 use ema_autodiff::{Grads, Tape, Var};
 use ema_data::WindowedData;
 use ema_models::{CohortBatch, CohortCtx, CohortForecaster, Forecaster};
-use ema_nn::{global_grad_norm, Adam, Binding, Optimizer, OptimizerConfig, ParamStore};
+use ema_nn::{global_grad_norm, Adam, Binding, ParamStore};
 use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
 use ema_tensor::{KernelBackend, Rng64, Tensor};
@@ -21,10 +21,9 @@ use ema_tensor::{KernelBackend, Rng64, Tensor};
 pub struct TrainConfig {
     /// Number of epochs (paper: 300).
     pub epochs: usize,
-    /// Adam learning rate (paper: 0.01).
+    /// Adam learning rate (paper: 0.01). [`Adam`] clips gradients at a
+    /// global norm of 5.
     pub learning_rate: f64,
-    /// Global-norm gradient clip (0 disables).
-    pub grad_clip: f64,
     /// Seed for dropout masks.
     pub seed: u64,
     /// Stop early when the training loss improves by less than this
@@ -58,7 +57,6 @@ impl Default for TrainConfig {
         Self {
             epochs: 300,
             learning_rate: 0.01,
-            grad_clip: 5.0,
             seed: 7,
             early_stop_rel: 0.0,
             patience: 25,
@@ -119,15 +117,6 @@ impl TrainReport {
     #[must_use]
     pub fn initial_loss(&self) -> f64 {
         self.losses[0]
-    }
-
-    /// The last epoch's pre-clip global gradient norm.
-    ///
-    /// # Panics
-    /// Panics if no epochs ran.
-    #[must_use]
-    pub fn final_grad_norm(&self) -> f64 {
-        *self.grad_norms.last().expect("at least one epoch")
     }
 }
 
@@ -288,16 +277,8 @@ pub(crate) fn fit<G: Members + ?Sized>(
     // stream per active member; `progress` is indexed by cohort
     // position.
     let mut act_idx: Vec<usize> = (0..n).filter(|&i| configs[i].epochs > 0).collect();
-    let mut adams: Vec<Adam> = act_idx
-        .iter()
-        .map(|&i| {
-            Adam::new(OptimizerConfig {
-                learning_rate: configs[i].learning_rate,
-                grad_clip: configs[i].grad_clip,
-                ..OptimizerConfig::default()
-            })
-        })
-        .collect();
+    let mut adams: Vec<Adam> =
+        act_idx.iter().map(|&i| Adam::new(configs[i].learning_rate)).collect();
     let mut rngs: Vec<Rng64> =
         act_idx.iter().map(|&i| Rng64::seed_from(configs[i].seed)).collect();
     let mut progress: Vec<Progress> = configs.iter().map(Progress::new).collect();
@@ -355,7 +336,7 @@ pub(crate) fn fit<G: Members + ?Sized>(
             let loss_value = tape.value(loss_vars[pos]).data()[0];
             p.losses.push(loss_value);
             total_loss += loss_value;
-            let grad_norm = global_grad_norm(members.member_params(i), &bindings[pos], &grads);
+            let grad_norm = global_grad_norm(&bindings[pos], &grads);
             p.grad_norms.push(grad_norm);
             adams[pos].step(members.member_params_mut(i), &bindings[pos], &grads);
             obs.observe("train_loss", &LOSS_BUCKETS, loss_value);
@@ -524,7 +505,7 @@ mod tests {
         assert!(report.early_stopped);
         assert_eq!(report.losses.len(), report.epochs_run);
         assert_eq!(report.grad_norms.len(), report.epochs_run);
-        assert!(report.final_grad_norm().is_finite());
+        assert!(report.grad_norms.iter().all(|g| g.is_finite()));
     }
 
     #[test]

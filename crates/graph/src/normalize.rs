@@ -27,26 +27,6 @@ pub fn gcn_norm(adj: &AdjacencyMatrix) -> Tensor {
     out
 }
 
-/// Row-stochastic normalisation `D^{-1} A` (random-walk transition
-/// matrix). Rows with zero degree stay zero. Used by MTGNN's mix-hop
-/// propagation.
-#[must_use]
-pub fn row_norm(adj: &AdjacencyMatrix) -> Tensor {
-    let n = adj.num_nodes();
-    let deg = adj.out_degrees();
-    let mut out = adj.weights().clone();
-    for i in 0..n {
-        let d = deg.data()[i];
-        if d > 0.0 {
-            for j in 0..n {
-                let v = out.at2(i, j) / d;
-                out.set2(i, j, v);
-            }
-        }
-    }
-    out
-}
-
 /// Row-stochastic normalisation with self loops: `D̃^{-1} (A + I)`.
 /// Guarantees every row sums to exactly 1.
 #[must_use]
@@ -180,17 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn row_norm_rows_sum_to_one_or_zero() {
-        let mut a = path_graph();
-        a.set_weight(0, 2, 3.0); // asymmetric extra edge
-        let r = row_norm(&a);
-        for i in 0..3 {
-            let s = r.row(i).sum();
-            assert!((s - 1.0).abs() < 1e-12 || s == 0.0, "row {i} sums to {s}");
-        }
-    }
-
-    #[test]
     fn row_norm_self_loops_always_stochastic() {
         let a = AdjacencyMatrix::empty(4); // even isolated nodes
         let r = row_norm_self_loops(&a);
@@ -241,7 +210,7 @@ mod tests {
     fn empty_graph_normalisations_are_finite() {
         let a = AdjacencyMatrix::empty(3);
         assert!(gcn_norm(&a).all_finite());
-        assert!(row_norm(&a).all_finite());
+        assert!(row_norm_self_loops(&a).all_finite());
         assert!(normalized_laplacian(&a).all_finite());
         assert!(scaled_laplacian(&a).all_finite());
     }

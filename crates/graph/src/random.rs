@@ -3,25 +3,6 @@
 use crate::AdjacencyMatrix;
 use ema_tensor::Rng64;
 
-/// An Erdős–Rényi graph: each directed edge exists independently with
-/// probability `p`, with weight 1.
-///
-/// # Panics
-/// Panics unless `0 <= p <= 1`.
-#[must_use]
-pub fn erdos_renyi(n: usize, p: f64, rng: &mut Rng64) -> AdjacencyMatrix {
-    assert!((0.0..=1.0).contains(&p), "invalid edge probability {p}");
-    let mut a = AdjacencyMatrix::empty(n);
-    for i in 0..n {
-        for j in 0..n {
-            if i != j && rng.bernoulli(p) {
-                a.set_weight(i, j, 1.0);
-            }
-        }
-    }
-    a
-}
-
 /// A random graph with *exactly* `edges` directed edges and uniform
 /// random weights in `(0, 1]` — the paper's random control "with the
 /// same amount of connected edges" as the similarity graphs.
@@ -65,21 +46,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn erdos_renyi_density_tracks_p() {
-        let mut rng = Rng64::seed_from(1);
-        let a = erdos_renyi(40, 0.3, &mut rng);
-        let d = a.density();
-        assert!((d - 0.3).abs() < 0.05, "density {d} far from 0.3");
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = Rng64::seed_from(2);
-        assert_eq!(erdos_renyi(10, 0.0, &mut rng).num_edges(), 0);
-        assert_eq!(erdos_renyi(10, 1.0, &mut rng).num_edges(), 90);
-    }
-
-    #[test]
     fn exact_edge_count() {
         let mut rng = Rng64::seed_from(3);
         for edges in [0, 1, 10, 50, 90] {
@@ -98,7 +64,7 @@ mod tests {
     #[test]
     fn random_like_matches_reference_density() {
         let mut rng = Rng64::seed_from(5);
-        let reference = erdos_renyi(12, 0.4, &mut rng);
+        let reference = random_with_edge_count(12, 50, &mut rng);
         let r = random_like(&reference, &mut rng);
         assert_eq!(r.num_edges(), reference.num_edges());
         assert_eq!(r.num_nodes(), 12);
@@ -106,8 +72,8 @@ mod tests {
 
     #[test]
     fn seeded_generation_is_reproducible() {
-        let a = erdos_renyi(8, 0.5, &mut Rng64::seed_from(7));
-        let b = erdos_renyi(8, 0.5, &mut Rng64::seed_from(7));
+        let a = random_with_edge_count(8, 28, &mut Rng64::seed_from(7));
+        let b = random_with_edge_count(8, 28, &mut Rng64::seed_from(7));
         assert_eq!(a.weights().data(), b.weights().data());
     }
 }

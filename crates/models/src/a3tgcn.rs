@@ -309,7 +309,7 @@ impl CohortForecaster for A3tgcn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ema_nn::{Adam, Optimizer, OptimizerConfig};
+    use ema_nn::Adam;
 
     fn ring_graph(n: usize) -> AdjacencyMatrix {
         let mut a = AdjacencyMatrix::empty(n);
@@ -376,7 +376,7 @@ mod tests {
         let mut rng = Rng64::seed_from(6);
         let window = Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng);
         let target = Tensor::from_vec1(vec![0.3, -0.4, 0.1, 0.6]);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.02));
+        let mut adam = Adam::new(0.02);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..120 {

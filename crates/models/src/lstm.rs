@@ -138,7 +138,7 @@ impl CohortForecaster for LstmForecaster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ema_nn::{Adam, Optimizer, OptimizerConfig};
+    use ema_nn::Adam;
 
     #[test]
     fn prediction_shape() {
@@ -175,7 +175,7 @@ mod tests {
         let mut rng = Rng64::seed_from(5);
         let window = Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut rng);
         let target = Tensor::from_vec1(vec![0.5, -0.2, 0.8]);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.02));
+        let mut adam = Adam::new(0.02);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..150 {

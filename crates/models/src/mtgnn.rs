@@ -652,7 +652,7 @@ impl CohortForecaster for Mtgnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ema_nn::{Adam, Optimizer, OptimizerConfig};
+    use ema_nn::Adam;
 
     fn ring_graph(n: usize) -> AdjacencyMatrix {
         let mut a = AdjacencyMatrix::empty(n);
@@ -712,7 +712,7 @@ mod tests {
         let mut rng = Rng64::seed_from(6);
         let window = Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng);
         let target = Tensor::from_vec1(vec![0.5, -0.5, 0.2, 0.1, -0.3]);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.02));
+        let mut adam = Adam::new(0.02);
         for _ in 0..30 {
             let tape = Tape::new();
             let binding = model.params().bind(&tape);
@@ -760,7 +760,7 @@ mod tests {
         let mut rng = Rng64::seed_from(12);
         let window = Tensor::rand_normal(&[3, 5], 0.0, 1.0, &mut rng);
         let target = Tensor::from_vec1(vec![0.1, -0.2, 0.3, -0.4, 0.5]);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.02));
+        let mut adam = Adam::new(0.02);
         for _ in 0..30 {
             let tape = Tape::new();
             let binding = model.params().bind(&tape);
@@ -797,7 +797,7 @@ mod tests {
         let mut rng = Rng64::seed_from(10);
         let window = Tensor::rand_normal(&[3, 4], 0.0, 1.0, &mut rng);
         let target = Tensor::from_vec1(vec![0.4, -0.2, 0.7, 0.0]);
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.02));
+        let mut adam = Adam::new(0.02);
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..150 {

@@ -46,12 +46,6 @@ impl VarForecaster {
         }
     }
 
-    /// The lag order `p`.
-    #[must_use]
-    pub fn lag_order(&self) -> usize {
-        self.seq_len
-    }
-
     /// Fits the coefficients in closed form by ridge least squares over
     /// `(window, target)` pairs, overwriting the current parameters.
     ///

@@ -20,7 +20,7 @@
 use ema_autodiff::{Grads, Tape};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{build_model, CohortBatch, CohortCtx, ModelConfig, ModelKind};
-use ema_nn::{Adam, Optimizer, OptimizerConfig};
+use ema_nn::Adam;
 use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
 
 const V: usize = 8;
@@ -56,7 +56,7 @@ fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
         let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
         let batch = CohortBatch::from_windows(&[&windows]);
 
-        let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
+        let mut adam = Adam::new(0.01);
         let mut drop_rng = [Rng64::seed_from(seed.wrapping_add(13))];
         let mut tape = Tape::new();
         let mut grads = Grads::empty();

@@ -1,9 +1,8 @@
 //! # ema-nn
 //!
 //! Neural-network building blocks on top of [`ema_autodiff`]: a parameter
-//! store, layers (linear, GRU/LSTM cells, temporal attention, dilated
-//! temporal convolution) and optimizers (Adam, SGD) with learning-rate
-//! schedules and gradient clipping.
+//! store, layers (linear, LSTM cell, temporal attention, dilated temporal
+//! convolution) and the Adam optimizer with global-norm gradient clipping.
 //!
 //! ## Training protocol
 //!
@@ -14,17 +13,17 @@
 //!    [`ParamStore::bind`] to insert every parameter as a leaf;
 //! 2. run the model forward using the returned [`Binding`];
 //! 3. call [`ema_autodiff::Tape::backward`] on the scalar loss;
-//! 4. call an optimizer's `step` with the store, binding and gradients.
+//! 4. call [`Adam::step`] with the store, binding and gradients.
 //!
 //! ```
 //! use ema_autodiff::Tape;
-//! use ema_nn::{Adam, Linear, Optimizer, OptimizerConfig, ParamStore};
+//! use ema_nn::{Adam, Linear, ParamStore};
 //! use ema_tensor::{Rng64, Tensor};
 //!
 //! let mut store = ParamStore::new();
 //! let mut rng = Rng64::seed_from(0);
 //! let layer = Linear::new(&mut store, "demo", 3, 1, &mut rng);
-//! let mut adam = Adam::new(OptimizerConfig::with_learning_rate(0.01));
+//! let mut adam = Adam::new(0.01);
 //!
 //! for _ in 0..50 {
 //!     let tape = Tape::new();
@@ -52,6 +51,6 @@ pub use attention::TemporalAttention;
 pub use conv::DilatedTemporalConv;
 pub use init::Initializer;
 pub use linear::Linear;
-pub use optim::{global_grad_norm, Adam, LrSchedule, Optimizer, OptimizerConfig, Sgd};
+pub use optim::{global_grad_norm, Adam};
 pub use params::{Binding, ParamId, ParamStore};
-pub use rnn::{GruCell, LstmCell, LstmState};
+pub use rnn::{LstmCell, LstmState};

@@ -1,14 +1,16 @@
-//! Raw slice-level matmul kernels: the `_into` batched twins of the
-//! `Tensor` methods in `linalg.rs`.
+//! Raw slice-level matmul kernels: the one implementation of each
+//! matmul-family product.
 //!
-//! The batched autodiff backward pass replays per-window gradient
+//! The grouped autodiff backward pass replays per-window gradient
 //! pieces on contiguous row-block *slices* of larger tensors; going
 //! through `Tensor` would force a copy per block. These free functions
-//! run the exact same kernels on `&[f64]` operands with explicit
-//! dimensions. Each one is **bit-identical** to its `Tensor` twin — it
-//! shares the private accumulation kernel and the pooled-repack idiom,
-//! so the bit-identity contract documented in `linalg.rs` carries over
-//! unchanged (property-tested in `crates/tensor/tests/properties.rs`).
+//! run on `&[f64]` operands with explicit dimensions, and
+//! [`crate::Tensor::matmul`], [`crate::Tensor::matmul_tn`],
+//! [`crate::Tensor::matmul_nt`] and [`crate::Tensor::addmm`] are thin
+//! wrappers that check shapes and hand them a pooled output. All of
+//! them share the private accumulation kernel, so the bit-identity
+//! contract documented in `linalg.rs` holds unchanged (property-tested
+//! in `crates/tensor/tests/properties.rs`).
 //!
 //! All kernels fully overwrite `out` (callers may pass stale pooled
 //! buffers from [`pool::take_uninit`]).
@@ -17,7 +19,7 @@ use crate::linalg::matmul_accumulate;
 use crate::pool;
 
 /// `out = a · b` for row-major `a: [m,k]`, `b: [k,n]`, `out: [m,n]`.
-/// Bit-identical to [`crate::Tensor::matmul`].
+/// Backs [`crate::Tensor::matmul`].
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -30,7 +32,7 @@ pub fn matmul_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize, n:
 }
 
 /// `out = aᵀ · b` for `a: [k,m]`, `b: [k,n]`, `out: [m,n]`.
-/// Bit-identical to [`crate::Tensor::matmul_tn`].
+/// Backs [`crate::Tensor::matmul_tn`].
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -38,9 +40,12 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
     assert_eq!(a.len(), k * m, "matmul_tn_into lhs length");
     assert_eq!(b.len(), k * n, "matmul_tn_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_tn_into out length");
-    // Same pooled repack as `Tensor::matmul_tn`: the repacked element is
-    // the value the reference kernel reads after an explicit transpose,
-    // so accumulation order and the zero skip stay bit-identical.
+    // Repack aᵀ into a pooled scratch buffer and run the shared ikj
+    // kernel: reading `a[p * m + i]` in place would walk the lhs
+    // column-wise (stride-m loads), and the O(k·m) repack is noise next
+    // to the O(m·k·n) product. The repacked element is the value the
+    // reference kernel reads after an explicit transpose, so
+    // accumulation order and the zero skip stay bit-identical.
     let mut at = pool::take_uninit(m * k);
     for (p, arow) in a.chunks_exact(m).enumerate() {
         for (i, &av) in arow.iter().enumerate() {
@@ -53,7 +58,7 @@ pub fn matmul_tn_into(a: &[f64], b: &[f64], out: &mut [f64], k: usize, m: usize,
 }
 
 /// `out = a · bᵀ` for `a: [m,k]`, `b: [n,k]`, `out: [m,n]`.
-/// Bit-identical to [`crate::Tensor::matmul_nt`].
+/// Backs [`crate::Tensor::matmul_nt`].
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.
@@ -61,6 +66,8 @@ pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
     assert_eq!(a.len(), m * k, "matmul_nt_into lhs length");
     assert_eq!(b.len(), n * k, "matmul_nt_into rhs length");
     assert_eq!(out.len(), m * n, "matmul_nt_into out length");
+    // Repack bᵀ the same way: a row-dot-row loop would be a serial
+    // dependency chain per output element, which cannot vectorize.
     let mut bt = pool::take_uninit(k * n);
     for (j, brow) in b.chunks_exact(k).enumerate() {
         for (p, &bv) in brow.iter().enumerate() {
@@ -73,10 +80,9 @@ pub fn matmul_nt_into(a: &[f64], b: &[f64], out: &mut [f64], m: usize, k: usize,
 }
 
 /// `out = a · wᵀ + bias` for `a: [m,k]`, `w: [n,k]`, `bias: [n]`,
-/// `out: [m,n]`. Bit-identical to [`crate::Tensor::addmm`]: same
-/// pooled wᵀ repack, same zeroed accumulation, and the bias is added
-/// *after* each output's accumulation completes (the composed
-/// ordering).
+/// `out: [m,n]`: the [`matmul_nt_into`] repack and accumulation, with
+/// the bias added *after* each output's accumulation completes (the
+/// composed ordering).
 ///
 /// # Panics
 /// Panics when a slice length disagrees with its dimensions.

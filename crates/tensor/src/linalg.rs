@@ -36,7 +36,7 @@
 //! [`KernelBackend::scoped`] — see `backend.rs`.
 
 use crate::backend::KernelBackend;
-use crate::{pool, Shape, Tensor};
+use crate::{kernels, pool, Shape, Tensor};
 
 /// Tile edge for the cache-blocked matmul path: output/operand row
 /// chunks of 64 f64 (512 B) stay resident in L1 across the `p` loop.
@@ -185,33 +185,9 @@ impl Tensor {
             k, k2,
             "matmul inner dimension mismatch: [{m}, {k}] x [{k2}, {n}]"
         );
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(self.data(), other.data(), &mut out, m, k, n);
+        let mut out = pool::take_uninit(m * n);
+        kernels::matmul_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
-    }
-
-    /// [`Tensor::matmul`] writing into a caller-provided `[m, n]`
-    /// tensor, with no allocation.
-    ///
-    /// # Panics
-    /// Panics on rank/shape mismatches between the operands and `out`.
-    pub fn matmul_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(self.rank(), 2, "matmul lhs must be rank 2");
-        assert_eq!(other.rank(), 2, "matmul rhs must be rank 2");
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
-        assert_eq!(
-            k, k2,
-            "matmul inner dimension mismatch: [{m}, {k}] x [{k2}, {n}]"
-        );
-        assert_eq!(
-            out.dims(),
-            &[m, n],
-            "matmul_into output shape mismatch: expected [{m}, {n}]"
-        );
-        let buf = out.data_mut();
-        buf.fill(0.0);
-        matmul_accumulate(self.data(), other.data(), buf, m, k, n);
     }
 
     /// Transpose-aware product `selfᵀ · other`: `[k, m] x [k, n] ->
@@ -231,24 +207,8 @@ impl Tensor {
             k, k2,
             "matmul_tn leading dimension mismatch: [{k}, {m}]ᵀ x [{k2}, {n}]"
         );
-        let a = self.data();
-        let b = other.data();
-        // Repack selfᵀ into a pooled scratch buffer and run the shared
-        // ikj kernel: reading `a[p * m + i]` in place would walk the
-        // lhs column-wise (stride-m loads, one cache line per element),
-        // and the O(k·m) repack is noise next to the O(m·k·n) product.
-        // The repacked element is the same logical value the reference
-        // kernel tests after an explicit transpose, so accumulation
-        // order and the zero skip stay bit-identical.
-        let mut at = pool::take_uninit(m * k);
-        for (p, arow) in a.chunks_exact(m).enumerate() {
-            for (i, &av) in arow.iter().enumerate() {
-                at[i * k + p] = av;
-            }
-        }
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(&at, b, &mut out, m, k, n);
-        pool::recycle(at);
+        let mut out = pool::take_uninit(m * n);
+        kernels::matmul_tn_into(self.data(), other.data(), &mut out, k, m, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
@@ -269,24 +229,8 @@ impl Tensor {
             k, k2,
             "matmul_nt trailing dimension mismatch: [{m}, {k}] x [{n}, {k2}]ᵀ"
         );
-        let a = self.data();
-        let b = other.data();
-        // Repack otherᵀ into a pooled scratch buffer (no heap traffic
-        // after warm-up) so the product runs on the shared ikj kernel:
-        // a row-dot-row loop here would be a serial dependency chain
-        // per output element, which cannot vectorize — the O(k·n)
-        // repack is noise next to the O(m·k·n) vectorized product.
-        // Accumulation order and the lhs zero skip are exactly those of
-        // `matmul`, so results stay bit-identical to the composed form.
-        let mut bt = pool::take_uninit(k * n);
-        for (j, brow) in b.chunks_exact(k).enumerate() {
-            for (p, &bv) in brow.iter().enumerate() {
-                bt[p * n + j] = bv;
-            }
-        }
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(a, &bt, &mut out, m, k, n);
-        pool::recycle(bt);
+        let mut out = pool::take_uninit(m * n);
+        kernels::matmul_nt_into(self.data(), other.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
@@ -317,26 +261,8 @@ impl Tensor {
             "addmm bias length {} does not match output width {n}",
             bias.len()
         );
-        let a = self.data();
-        let b = w.data();
-        let bd = bias.data();
-        // Same pooled-repack strategy as `matmul_nt` (see there): run
-        // the vectorizable ikj kernel over wᵀ, then add the bias after
-        // each output's accumulation completes — the composed ordering.
-        let mut wt = pool::take_uninit(k * n);
-        for (j, wrow) in b.chunks_exact(k).enumerate() {
-            for (p, &wv) in wrow.iter().enumerate() {
-                wt[p * n + j] = wv;
-            }
-        }
-        let mut out = pool::take_zeroed(m * n);
-        matmul_accumulate(a, &wt, &mut out, m, k, n);
-        pool::recycle(wt);
-        for orow in out.chunks_exact_mut(n) {
-            for (o, &bv) in orow.iter_mut().zip(bd) {
-                *o += bv;
-            }
-        }
+        let mut out = pool::take_uninit(m * n);
+        kernels::addmm_into(self.data(), w.data(), bias.data(), &mut out, m, k, n);
         Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
     }
 
@@ -394,40 +320,10 @@ impl Tensor {
             .sum()
     }
 
-    /// Outer product of two rank-1 tensors: `[m] x [n] -> [m, n]`.
-    ///
-    /// # Panics
-    /// Panics unless both are rank 1.
-    #[must_use]
-    pub fn outer(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 1, "outer lhs must be rank 1");
-        assert_eq!(other.rank(), 1, "outer rhs must be rank 1");
-        let (m, n) = (self.len(), other.len());
-        let mut out = pool::take_uninit(m * n);
-        for i in 0..m {
-            for j in 0..n {
-                out[i * n + j] = self.data()[i] * other.data()[j];
-            }
-        }
-        Tensor::from_shape_pooled(Shape::of(&[m, n]), out)
-    }
-
     /// Frobenius / L2 norm over all elements.
     #[must_use]
     pub fn norm(&self) -> f64 {
         self.data().iter().map(|&v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Trace of a square rank-2 tensor.
-    ///
-    /// # Panics
-    /// Panics unless `self` is a square matrix.
-    #[must_use]
-    pub fn trace(&self) -> f64 {
-        assert_eq!(self.rank(), 2, "trace requires rank 2");
-        let (m, n) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(m, n, "trace requires a square matrix");
-        (0..n).map(|i| self.data()[i * n + i]).sum()
     }
 
     /// Extracts row `i` of a rank-2 tensor as a rank-1 tensor.
@@ -586,15 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_into_matches_allocating_twin() {
-        let a = Tensor::from_vec(&[2, 3], (0..6).map(f64::from).collect()).unwrap();
-        let b = Tensor::from_vec(&[3, 4], (0..12).map(|v| f64::from(v) - 3.0).collect()).unwrap();
-        let mut out = Tensor::filled(&[2, 4], 99.0); // stale contents must vanish
-        a.matmul_into(&b, &mut out);
-        assert_eq!(out.data(), a.matmul(&b).data());
-    }
-
-    #[test]
     fn blocked_path_matches_naive() {
         // Large enough to cross MM_BLOCK_THRESHOLD with n > MM_BLOCK.
         // The naive reference below implements the *scalar* contract,
@@ -660,19 +547,15 @@ mod tests {
     }
 
     #[test]
-    fn dot_and_outer() {
+    fn dot_product() {
         let u = Tensor::from_vec1(vec![1.0, 2.0]);
         let v = Tensor::from_vec1(vec![3.0, 4.0]);
         assert_eq!(u.dot(&v), 11.0);
-        let o = u.outer(&v);
-        assert_eq!(o.dims(), &[2, 2]);
-        assert_eq!(o.data(), &[3.0, 4.0, 6.0, 8.0]);
     }
 
     #[test]
-    fn trace_and_norm() {
+    fn frobenius_norm() {
         let a = Tensor::from_vec2(vec![vec![3.0, 0.0], vec![0.0, 4.0]]).unwrap();
-        assert_eq!(a.trace(), 7.0);
         assert_eq!(a.norm(), 5.0);
     }
 

@@ -20,24 +20,6 @@ impl Tensor {
         }
     }
 
-    /// [`Tensor::map`] writing into a caller-provided tensor of the
-    /// same shape as `self`, with no allocation.
-    ///
-    /// # Panics
-    /// Panics if `out`'s shape differs from `self`'s.
-    pub fn map_into(&self, f: impl Fn(f64) -> f64, out: &mut Tensor) {
-        assert_eq!(
-            self.shape(),
-            out.shape(),
-            "elementwise op requires matching shapes: {:?} vs {:?}",
-            self.dims(),
-            out.dims()
-        );
-        for (o, &v) in out.data_mut().iter_mut().zip(self.data()) {
-            *o = f(v);
-        }
-    }
-
     /// Combines two same-shaped tensors elementwise with `f`.
     ///
     /// # Panics
@@ -82,31 +64,6 @@ impl Tensor {
         );
         for (a, &b) in self.data_mut().iter_mut().zip(other.data().iter()) {
             *a += b;
-        }
-    }
-
-    /// Elementwise sum written into a caller-provided tensor
-    /// (`out = self + other`), with no allocation.
-    ///
-    /// # Panics
-    /// Panics if any of the three shapes differ.
-    pub fn add_into(&self, other: &Tensor, out: &mut Tensor) {
-        assert_eq!(
-            self.shape(),
-            other.shape(),
-            "elementwise op requires matching shapes: {:?} vs {:?}",
-            self.dims(),
-            other.dims()
-        );
-        assert_eq!(
-            self.shape(),
-            out.shape(),
-            "elementwise op requires matching shapes: {:?} vs {:?}",
-            self.dims(),
-            out.dims()
-        );
-        for ((o, &a), &b) in out.data_mut().iter_mut().zip(self.data()).zip(other.data()) {
-            *o = a + b;
         }
     }
 
@@ -238,41 +195,6 @@ impl Tensor {
         }
         out
     }
-
-    /// Multiplies every row of a `[R, C]` matrix elementwise by `row`.
-    ///
-    /// # Panics
-    /// Panics unless `self` is rank 2 and `row` is rank 1 with matching
-    /// column count.
-    #[must_use]
-    pub fn mul_row_broadcast(&self, row: &Tensor) -> Tensor {
-        assert_eq!(self.rank(), 2, "mul_row_broadcast requires a matrix");
-        assert_eq!(row.rank(), 1, "broadcast operand must be rank 1");
-        let (r, c) = (self.dims()[0], self.dims()[1]);
-        assert_eq!(row.len(), c, "row length mismatch");
-        let mut out = self.clone();
-        for i in 0..r {
-            for j in 0..c {
-                out.data_mut()[i * c + j] *= row.data()[j];
-            }
-        }
-        out
-    }
-
-    /// Elementwise maximum with a scalar.
-    #[must_use]
-    pub fn max_scalar(&self, s: f64) -> Tensor {
-        self.map(|v| v.max(s))
-    }
-
-    /// Linear interpolation `self * (1 - t) + other * t`.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    #[must_use]
-    pub fn lerp(&self, other: &Tensor, t: f64) -> Tensor {
-        self.zip(other, |a, b| a * (1.0 - t) + b * t)
-    }
 }
 
 #[cfg(test)]
@@ -326,14 +248,6 @@ mod tests {
         let m = Tensor::from_vec2(vec![vec![1.0, 2.0], vec![3.0, 4.0]]).unwrap();
         let r = t(vec![10.0, 20.0]);
         assert_eq!(m.add_row_broadcast(&r).data(), &[11.0, 22.0, 13.0, 24.0]);
-        assert_eq!(m.mul_row_broadcast(&r).data(), &[10.0, 40.0, 30.0, 80.0]);
-    }
-
-    #[test]
-    fn lerp_midpoint() {
-        let a = t(vec![0.0, 0.0]);
-        let b = t(vec![2.0, 4.0]);
-        assert_tensors_close(&a.lerp(&b, 0.5), &t(vec![1.0, 2.0]), 1e-12);
     }
 
     #[test]

@@ -180,14 +180,6 @@ impl Rng64 {
         p
     }
 
-    /// Splits off an independent generator seeded from this one, so
-    /// per-individual streams do not interact. The child depends on how
-    /// many draws preceded the call — for order-independent streams use
-    /// [`Rng64::split`] instead (see the module docs).
-    pub fn fork(&mut self) -> Rng64 {
-        Rng64::seed_from(self.next_u64())
-    }
-
     /// Derives the independent child stream `stream` of this generator.
     ///
     /// The child is a pure function of `(construction seed, stream)`:
@@ -198,13 +190,6 @@ impl Rng64 {
     #[must_use]
     pub fn split(&self, stream: u64) -> Rng64 {
         Rng64::seed_from(derive_stream_seed(self.root, stream))
-    }
-
-    /// The seed this generator was constructed from (the anchor of
-    /// [`Rng64::split`]).
-    #[must_use]
-    pub fn root_seed(&self) -> u64 {
-        self.root
     }
 }
 
@@ -367,15 +352,5 @@ mod tests {
         let s1 = derive_stream_seed(42, 1);
         assert_ne!(s0, s1);
         assert!(s0.abs_diff(s1) > 1 << 20, "adjacent streams too close");
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = Rng64::seed_from(5);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        let a: Vec<f64> = (0..8).map(|_| c1.uniform()).collect();
-        let b: Vec<f64> = (0..8).map(|_| c2.uniform()).collect();
-        assert_ne!(a, b);
     }
 }

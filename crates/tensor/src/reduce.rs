@@ -21,12 +21,6 @@ impl Tensor {
         self.data().iter().map(|&v| v * v).sum()
     }
 
-    /// Frobenius/L2 norm of all elements.
-    #[must_use]
-    pub fn l2_norm(&self) -> f64 {
-        self.sq_sum().sqrt()
-    }
-
     /// Population variance of all elements.
     #[must_use]
     pub fn variance(&self) -> f64 {
@@ -50,18 +44,6 @@ impl Tensor {
     #[must_use]
     pub fn min(&self) -> f64 {
         self.data().iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Index of the maximum element in the flat buffer (first on ties).
-    #[must_use]
-    pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &v) in self.data().iter().enumerate() {
-            if v > self.data()[best] {
-                best = i;
-            }
-        }
-        best
     }
 
     /// Sums along `axis`, removing it from the shape.
@@ -174,7 +156,6 @@ mod tests {
         assert_eq!(t.mean(), 2.5);
         assert_eq!(t.max(), 4.0);
         assert_eq!(t.min(), 1.0);
-        assert_eq!(t.argmax(), 3);
         assert!((t.variance() - 1.25).abs() < 1e-12);
     }
 

@@ -118,26 +118,6 @@ impl Shape {
         flat
     }
 
-    /// Converts a flat offset back into a multi-dimensional index.
-    ///
-    /// # Panics
-    /// Panics if `flat >= volume()`.
-    #[must_use]
-    pub fn unflatten(&self, mut flat: usize) -> Vec<usize> {
-        assert!(
-            flat < self.volume(),
-            "flat index {flat} out of bounds for volume {}",
-            self.volume()
-        );
-        let strides = self.strides();
-        let mut index = vec![0; self.rank()];
-        for (axis, &stride) in strides.iter().enumerate() {
-            index[axis] = flat / stride;
-            flat %= stride;
-        }
-        index
-    }
-
     /// Returns the shape with `axis` removed (used by axis reductions).
     /// A rank-1 shape reduces to `[1]`.
     ///
@@ -161,12 +141,6 @@ impl Shape {
             dims,
             rank: out as u8,
         }
-    }
-
-    /// True when the two shapes are element-wise compatible (identical).
-    #[must_use]
-    pub fn same_as(&self, other: &Shape) -> bool {
-        self == other
     }
 }
 
@@ -217,10 +191,16 @@ mod tests {
     #[test]
     fn flat_index_round_trips() {
         let s = Shape::of(&[3, 4, 5]);
-        for flat in 0..s.volume() {
-            let idx = s.unflatten(flat);
-            assert_eq!(s.flat_index(&idx), flat);
+        let mut flat = 0;
+        for i in 0..3 {
+            for j in 0..4 {
+                for k in 0..5 {
+                    assert_eq!(s.flat_index(&[i, j, k]), flat);
+                    flat += 1;
+                }
+            }
         }
+        assert_eq!(flat, s.volume());
     }
 
     #[test]

@@ -41,53 +41,6 @@ impl Tensor {
         Tensor::from_shape_pooled(Shape::of(&[m, w]), data)
     }
 
-    /// Extracts the `i`-th slab along axis 0 of a rank-3 tensor,
-    /// producing a rank-2 tensor.
-    ///
-    /// # Panics
-    /// Panics unless `self` is rank 3 and `i` in bounds.
-    #[must_use]
-    pub fn slab(&self, i: usize) -> Tensor {
-        assert_eq!(self.rank(), 3, "slab requires rank 3");
-        let (d0, d1, d2) = (self.dims()[0], self.dims()[1], self.dims()[2]);
-        assert!(i < d0, "slab index {i} out of bounds for {d0}");
-        let size = d1 * d2;
-        Tensor::pooled_copy(Shape::of(&[d1, d2]), &self.data()[i * size..(i + 1) * size])
-    }
-
-    /// Stacks rank-2 tensors of identical shape into a rank-3 tensor
-    /// along a new leading axis.
-    ///
-    /// # Panics
-    /// Panics if `slabs` is empty or shapes differ.
-    #[must_use]
-    pub fn stack_slabs(slabs: &[Tensor]) -> Tensor {
-        assert!(!slabs.is_empty(), "cannot stack zero slabs");
-        let dims = slabs[0].dims().to_vec();
-        assert_eq!(dims.len(), 2, "stack_slabs expects rank-2 tensors");
-        let size = slabs[0].len();
-        let mut data = pool::take_uninit(slabs.len() * size);
-        for (i, s) in slabs.iter().enumerate() {
-            assert_eq!(s.dims(), &dims[..], "slab {i} has mismatched shape");
-            data[i * size..(i + 1) * size].copy_from_slice(s.data());
-        }
-        Tensor::from_shape_pooled(Shape::of(&[slabs.len(), dims[0], dims[1]]), data)
-    }
-
-    /// Pads a rank-2 tensor with `before` zero-rows at the top.
-    ///
-    /// # Panics
-    /// Panics unless `self` is rank 2.
-    #[must_use]
-    pub fn pad_rows_front(&self, before: usize) -> Tensor {
-        assert_eq!(self.rank(), 2, "pad_rows_front requires rank 2");
-        if before == 0 {
-            return self.clone();
-        }
-        let n = self.dims()[1];
-        Tensor::zeros(&[before, n]).vcat(self)
-    }
-
     /// Returns the last `k` rows of a rank-2 tensor.
     ///
     /// # Panics
@@ -104,7 +57,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assert_tensors_close;
 
     fn grid() -> Tensor {
         // [[0,1,2],[3,4,5],[6,7,8],[9,10,11]]
@@ -132,25 +84,6 @@ mod tests {
     #[should_panic(expected = "invalid row range")]
     fn slice_rows_checks_bounds() {
         let _ = grid().slice_rows(2, 5);
-    }
-
-    #[test]
-    fn slab_round_trip() {
-        let a = Tensor::ones(&[2, 3]);
-        let b = Tensor::zeros(&[2, 3]);
-        let s = Tensor::stack_slabs(&[a.clone(), b.clone()]);
-        assert_eq!(s.dims(), &[2, 2, 3]);
-        assert_tensors_close(&s.slab(0), &a, 0.0);
-        assert_tensors_close(&s.slab(1), &b, 0.0);
-    }
-
-    #[test]
-    fn pad_rows_front_prepends_zeros() {
-        let g = grid();
-        let p = g.pad_rows_front(2);
-        assert_eq!(p.dims(), &[6, 3]);
-        assert_eq!(p.row(0).data(), &[0.0, 0.0, 0.0]);
-        assert_tensors_close(&p.slice_rows(2, 6), &g, 0.0);
     }
 
     #[test]

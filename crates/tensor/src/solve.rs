@@ -77,17 +77,6 @@ impl Tensor {
         Some(Tensor::from_vec(&[n, m], x).expect("solve output shape"))
     }
 
-    /// Matrix inverse via [`Tensor::solve`] against the identity.
-    /// Returns `None` for singular matrices.
-    ///
-    /// # Panics
-    /// Panics unless `self` is square rank 2.
-    #[must_use]
-    pub fn inverse(&self) -> Option<Tensor> {
-        let n = self.dims()[0];
-        self.solve(&Tensor::eye(n))
-    }
-
     /// Ridge-regularised least squares: solves
     /// `argmin_W ‖X·W − Y‖² + λ‖W‖²` via the normal equations
     /// `(XᵀX + λI) W = Xᵀ Y`, for `X: [n, p]`, `Y: [n, q]` → `W: [p, q]`.
@@ -145,7 +134,7 @@ mod tests {
     #[test]
     fn singular_matrix_returns_none() {
         let a = Tensor::from_vec2(vec![vec![1.0, 2.0], vec![2.0, 4.0]]).unwrap();
-        assert!(a.inverse().is_none());
+        assert!(a.solve(&Tensor::eye(2)).is_none());
     }
 
     #[test]
@@ -158,7 +147,7 @@ mod tests {
                 let v = a.at2(i, i) + 3.0 * n as f64;
                 a.set2(i, i, v);
             }
-            let inv = a.inverse().expect("well-conditioned");
+            let inv = a.solve(&Tensor::eye(n)).expect("well-conditioned");
             assert_tensors_close(&a.matmul(&inv), &Tensor::eye(n), 1e-8);
             assert_tensors_close(&inv.matmul(&a), &Tensor::eye(n), 1e-8);
         }
@@ -174,7 +163,7 @@ mod tests {
         }
         let b = Tensor::rand_normal(&[4, 3], 0.0, 1.0, &mut rng);
         let x1 = a.solve(&b).unwrap();
-        let x2 = a.inverse().unwrap().matmul(&b);
+        let x2 = a.solve(&Tensor::eye(4)).unwrap().matmul(&b);
         assert_tensors_close(&x1, &x2, 1e-8);
     }
 

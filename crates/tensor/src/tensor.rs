@@ -209,13 +209,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat buffer (which leaves the
-    /// pool's custody — `Drop` only recycles tensor-owned storage).
-    #[must_use]
-    pub fn into_vec(mut self) -> Vec<f64> {
-        std::mem::take(&mut self.data)
-    }
-
     /// Element at a multi-dimensional index.
     ///
     /// # Panics

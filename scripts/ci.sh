@@ -41,6 +41,14 @@ filtered_test() {
 echo "==> cargo build (all targets)"
 cargo build --offline --workspace --all-targets
 
+echo "==> e2ebench (build + selftest)"
+# The end-to-end benchmark crate is its own workspace, so the
+# `--workspace` build above never compiles it. Build it and run its
+# selftest here, so an API change that breaks the benchmark fails CI
+# rather than the benchmark pipeline.
+cargo build --offline --release --manifest-path e2ebench/Cargo.toml
+cargo test --offline --release --manifest-path e2ebench/Cargo.toml -q
+
 echo "==> cargo test (EMA_KERNEL=scalar)"
 # The whole suite once per kernel backend: the scalar bit-identity
 # oracle and the SIMD hot path (on machines without AVX2+FMA the simd

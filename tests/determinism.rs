@@ -16,7 +16,7 @@ use ema_graph::sparsify::DensityThreshold;
 use ema_models::{
     A3tgcn, Astgcn, Forecaster, ForwardCtx, LstmForecaster, ModelKind, Mtgnn, VarForecaster,
 };
-use ema_nn::{Adam, Optimizer, OptimizerConfig};
+use ema_nn::Adam;
 use ema_similarity::GraphMetric;
 use ema_tensor::{Rng64, Tensor};
 use std::sync::Mutex;
@@ -114,11 +114,7 @@ fn per_window_train(
     if let Some(ckpt) = &config.warm_start {
         ckpt.restore(model.params_mut()).unwrap();
     }
-    let mut adam = Adam::new(OptimizerConfig {
-        learning_rate: config.learning_rate,
-        grad_clip: config.grad_clip,
-        ..OptimizerConfig::default()
-    });
+    let mut adam = Adam::new(config.learning_rate);
     let mut rng = Rng64::seed_from(config.seed);
     let targets = windows.targets_matrix();
     let (mut losses, mut best, mut since_best) = (Vec::new(), f64::INFINITY, 0usize);
