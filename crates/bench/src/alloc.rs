@@ -108,3 +108,91 @@ pub fn peak_bytes() -> u64 {
 pub fn reset_peak_bytes() {
     PEAK_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
+
+/// Runs a counter-reading check alone in its own process.
+///
+/// The counters are process-wide, so a reading is exact only while no
+/// other thread allocates or frees — sibling libtest threads do, in
+/// parallel with the check. In the parent test process this re-runs the
+/// current test binary filtered to exactly `test_name` with one test
+/// thread, and asserts that the child passed; in that child (marked by
+/// an environment variable) it runs `check` itself.
+#[cfg(test)]
+pub(crate) fn run_isolated(test_name: &str, check: fn()) {
+    const CHILD: &str = "EMA_BENCH_ISOLATED_TEST";
+    if std::env::var_os(CHILD).is_some() {
+        check();
+        return;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args([test_name, "--exact", "--test-threads=1"])
+        .env(CHILD, "1")
+        .output()
+        .expect("spawn isolated test process");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "isolated run of {test_name} failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn counter_observes_heap_allocations() {
+        run_isolated("alloc::tests::counter_observes_heap_allocations", || {
+            let before = alloc_count();
+            let v: Vec<u64> = Vec::with_capacity(1024);
+            std::hint::black_box(&v);
+            drop(v);
+            let after = alloc_count();
+            assert!(after > before, "Vec::with_capacity must count as an alloc");
+        });
+    }
+
+    #[test]
+    fn counter_is_monotonic() {
+        run_isolated("alloc::tests::counter_is_monotonic", || {
+            let a = alloc_count();
+            let b = alloc_count();
+            assert!(b >= a);
+        });
+    }
+
+    #[test]
+    fn peak_bytes_tracks_a_regions_high_water_mark() {
+        run_isolated("alloc::tests::peak_bytes_tracks_a_regions_high_water_mark", || {
+            reset_peak_bytes();
+            let base = peak_bytes();
+            let v: Vec<u8> = vec![0; 1 << 20];
+            std::hint::black_box(&v);
+            let with_buf = peak_bytes();
+            assert!(
+                with_buf >= base + (1 << 20),
+                "peak {with_buf} did not cover the 1 MiB buffer over base {base}"
+            );
+            drop(v);
+            // Peak is a high-water mark: freeing must not lower it.
+            assert!(peak_bytes() >= with_buf);
+            // Rebasing returns it to the (now lower) live footprint.
+            reset_peak_bytes();
+            assert!(peak_bytes() < with_buf);
+        });
+    }
+
+    #[test]
+    fn live_bytes_falls_after_free() {
+        run_isolated("alloc::tests::live_bytes_falls_after_free", || {
+            let before = live_bytes();
+            let v: Vec<u8> = vec![0; 1 << 16];
+            std::hint::black_box(&v);
+            assert!(live_bytes() >= before + (1 << 16));
+            drop(v);
+            assert!(live_bytes() < before + (1 << 16));
+        });
+    }
+}

@@ -356,6 +356,38 @@ fn format_ns(ns: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::alloc::run_isolated;
+
+    fn quick_bencher(samples: usize) -> Bencher {
+        Bencher::new(Config {
+            samples,
+            sample_ms: 0.05,
+            warmup_ms: 0.05,
+        })
+    }
+
+    #[test]
+    fn bencher_measures_and_harness_records() {
+        run_isolated("harness::tests::bencher_measures_and_harness_records", || {
+            let mut bencher = quick_bencher(3);
+            bencher.iter(|| std::hint::black_box(42u64.wrapping_mul(7)));
+            let r = bencher.into_result("mul");
+            assert!(r.median_ns > 0.0 && r.min_ns > 0.0 && r.mean_ns > 0.0);
+            assert!(r.min_ns <= r.median_ns && r.median_ns <= r.mean_ns * 3.0);
+            assert!(r.iters_per_sample >= 1);
+            // An allocation-free workload measures zero allocs per iter.
+            assert_eq!(r.allocs_per_iter, Some(0.0));
+        });
+    }
+
+    #[test]
+    fn bencher_counts_allocating_workloads() {
+        run_isolated("harness::tests::bencher_counts_allocating_workloads", || {
+            let mut bencher = quick_bencher(2);
+            bencher.iter(|| std::hint::black_box(vec![0u8; 256]));
+            assert!(bencher.into_result("vec").allocs_per_iter.unwrap() >= 1.0);
+        });
+    }
 
     #[test]
     fn results_serialise_to_bench_json_shape() {

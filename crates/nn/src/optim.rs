@@ -143,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn grad_clip_scales_first_moment_to_clip_norm() {
+    fn grad_clip_bounds_update() {
         // One step on a gradient of global norm ≫ c across two
         // parameters: the clipped gradient has norm exactly c, so the
         // first moment (1−β₁)·g has global norm (1−β₁)·c.
