@@ -68,10 +68,6 @@ pub enum Op {
     Dropout(Var, Tensor),
     /// Stacks rank-1 parents into the rows of a matrix.
     StackRows(Vec<Var>),
-    /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
-    /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. Fields:
-    /// lhs, x, window count.
-    BlockLhsMatmul(Var, Var, usize),
     /// Blockwise product of two window stacks: block `w` of
     /// `x: [W·m, k]` times block `w` of `y: [W·k, n]` -> `[W·m, n]`.
     /// Fields: x, y, window count.
@@ -113,9 +109,8 @@ pub enum Op {
     GroupAddRow(Var, GroupList<Var>, GroupList<usize>, usize),
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// times each `[q, n]` window block of its slice of
-    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]` — the grouped twin of
-    /// `BlockLhsMatmul` for per-individual graph constants. Fields:
-    /// per-group lhs, x, per-group window counts.
+    /// `x: [Σ wins·q, n]`, giving `[Σ wins·p, n]`. Fields: per-group
+    /// lhs, x, per-group window counts.
     GroupBlockLhsMatmul(GroupList<Var>, Var, GroupList<usize>),
 }
 

@@ -1,7 +1,7 @@
 //! The tape: node storage, basic elementwise ops and the backward pass.
 
 use crate::grads::{PendingKind, PendingUse};
-use crate::{tape_ops_batched, Grads, Op};
+use crate::{tape_ops_group, Grads, Op};
 use ema_tensor::{kernels, pool, Tensor};
 use std::cell::RefCell;
 
@@ -606,40 +606,6 @@ fn backward_one(
         Op::StackRows(ref vars) => {
             contribs.extend(vars.iter().enumerate().map(|(i, &v)| (v, g.row(i))));
         }
-        Op::BlockLhsMatmul(lhs, x, wins) => {
-            // Per-block dx_w = lhsᵀ · g_w (the per-window Matmul rhs
-            // gradient, dense in the stack); shared lhs deferred. Like
-            // the forward, all W products share the lhs, so one
-            // `lhsᵀ · [g_0 | … | g_{W-1}]` on the column-permuted
-            // layout computes them in a single kernel call —
-            // bit-identical per element (and the lhsᵀ repack happens
-            // once instead of per window).
-            let lv = val(lhs);
-            let xv = val(x);
-            let (p, q) = (lv.dims()[0], lv.dims()[1]);
-            let n = xv.dims()[1];
-            let ghat = tape_ops_batched::gather_window_cols(g.data(), wins, p, n);
-            let mut dxhat = pool::take_uninit(q * wins * n);
-            kernels::matmul_tn_into(lv.data(), &ghat, &mut dxhat, p, q, wins * n);
-            pool::recycle(ghat);
-            let dx = tape_ops_batched::scatter_window_cols(&dxhat, wins, q, n);
-            pool::recycle(dxhat);
-            contribs.push((x, Tensor::from_vec(xv.dims(), dx).expect("block dx shape")));
-            deferred.push((
-                lhs,
-                PendingUse {
-                    kind: PendingKind::GntX,
-                    g_node: i,
-                    x_node: x.0,
-                    wins,
-                    grouped: false,
-                    g_rows: p,
-                    g_off: 0,
-                    x_rows: q,
-                    x_off: 0,
-                },
-            ));
-        }
         Op::BlockMatmul(x, y, wins) => {
             // Per block: dx_w = g_w · y_wᵀ, dy_w = x_wᵀ · g_w — both
             // operands are window stacks, so both gradients stay dense.
@@ -855,13 +821,14 @@ fn backward_one(
             }
         }
         Op::GroupBlockLhsMatmul(ref lhses, x, ref wins) => {
-            // Per group b: the shared-lhs backward restricted to the
-            // group's window span — gather its g slice to the
-            // column-permuted layout, one lhs_bᵀ · ĝ product, scatter
-            // back — so every window block matches the per-individual
-            // `Op::BlockLhsMatmul` backward bit for bit. Each group's
-            // lhs gradient is deferred as per-window G·Xᵀ pieces at the
-            // group's (output, input) row offsets.
+            // Per group b: dx_w = lhs_bᵀ · g_w (the per-window Matmul
+            // rhs gradient, dense in the stack). As in the forward, all
+            // of the group's windows share lhs_b, so gather its g slice
+            // to the column-permuted layout, take one lhs_bᵀ · ĝ
+            // product, and scatter back — bit-identical per element to
+            // the per-window products. Each group's lhs gradient is
+            // deferred as per-window G·Xᵀ pieces at the group's
+            // (output, input) row offsets.
             let xv = val(x);
             let n = xv.dims()[1];
             let (p, q) = (val(lhses[0]).dims()[0], val(lhses[0]).dims()[1]);
@@ -869,7 +836,7 @@ fn backward_one(
             let (mut xoff, mut goff) = (0usize, 0usize);
             for (&lhs, &wb) in lhses.iter().zip(wins.iter()) {
                 let lv = val(lhs);
-                let ghat = tape_ops_batched::gather_window_cols(
+                let ghat = tape_ops_group::gather_window_cols(
                     &g.data()[goff * n..(goff + wb * p) * n],
                     wb,
                     p,
@@ -878,10 +845,14 @@ fn backward_one(
                 let mut dxhat = pool::take_uninit(q * wb * n);
                 kernels::matmul_tn_into(lv.data(), &ghat, &mut dxhat, p, q, wb * n);
                 pool::recycle(ghat);
-                let dx_b = tape_ops_batched::scatter_window_cols(&dxhat, wb, q, n);
+                tape_ops_group::scatter_window_cols(
+                    &dxhat,
+                    wb,
+                    q,
+                    n,
+                    &mut dx[xoff * n..(xoff + wb * q) * n],
+                );
                 pool::recycle(dxhat);
-                dx[xoff * n..(xoff + wb * q) * n].copy_from_slice(&dx_b);
-                pool::recycle(dx_b);
                 deferred.push((
                     lhs,
                     PendingUse {

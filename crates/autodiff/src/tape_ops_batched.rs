@@ -1,65 +1,22 @@
 //! Window-block tape operations: ops whose operands are stacks of `W`
 //! window blocks along the row dimension and that have no per-group
 //! parameter (the grouped-operand ops in `tape_ops_group` cover those).
-//! The grouped forward path in `ema-models` uses them for shared
-//! constants (attention row averaging), blockwise attention products,
-//! stacking per-step states, and pre-drawn dropout masks. Every op here
+//! The grouped forward path in `ema-models` uses them for blockwise
+//! attention products, stacking per-step states, and pre-drawn dropout
+//! masks. Every op here
 //! is **bit-identical** to its per-window twin in both directions:
 //!
 //! * forward — the matmul kernel contract (`ema_tensor::linalg`) makes
 //!   each output row's accumulation independent of the batch height,
 //!   so row block `w` matches the per-window op on window `w` exactly;
 //!   blockwise ops run the per-window kernel per block outright;
-//! * backward — gradients along the stacked axis stay dense (row
-//!   blocks again match per window), while gradients of *shared*
-//!   operands (memoized constants) are deferred as per-window pieces
-//!   and replayed in the per-window graph's accumulation order when the
-//!   backward pass reaches the operand (see the pending machinery in
-//!   `Grads`/`Tape::backward_into`).
+//! * backward — gradients along the stacked axis stay dense, and row
+//!   blocks again match per window.
 
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
 
 impl Tape {
-    /// Shared lhs times per-window blocks: `lhs: [p, q]` times each
-    /// `[q, n]` block of `x: [W·q, n]`, giving `[W·p, n]`. The forward
-    /// pass fuses all `W` products into **one** kernel call on a
-    /// column-permuted layout (see [`gather_window_cols`]): since the
-    /// lhs is shared, `lhs · [x_0 | x_1 | … | x_{W-1}]` computes every
-    /// block in a single `[p, q] x [q, W·n]` matmul. Each output
-    /// element keeps the exact per-window accumulation sequence
-    /// (ascending-`k` from `0.0`, same `lhs == 0.0` skips — the kernel
-    /// contract makes element results independent of the output
-    /// width), so this is bit-identical to `W` separate `matmul`
-    /// nodes while amortizing the lhs across all windows.
-    ///
-    /// # Panics
-    /// Panics on shape mismatches or when `wins` does not divide the
-    /// stacked row count.
-    pub fn block_lhs_matmul(&self, lhs: Var, x: Var, wins: usize) -> Var {
-        let out = self.compute(
-            |v| {
-                let (lhs, x) = (v[0], v[1]);
-                let (p, q) = (lhs.dims()[0], lhs.dims()[1]);
-                let n = x.dims()[1];
-                assert_eq!(
-                    x.dims()[0],
-                    wins * q,
-                    "block_lhs_matmul: x rows must be wins ({wins}) x lhs cols ({q})"
-                );
-                let xhat = gather_window_cols(x.data(), wins, q, n);
-                let mut yhat = pool::take_uninit(p * wins * n);
-                kernels::matmul_into(lhs.data(), &xhat, &mut yhat, p, q, wins * n);
-                pool::recycle(xhat);
-                let out = scatter_window_cols(&yhat, wins, p, n);
-                pool::recycle(yhat);
-                Tensor::from_vec(&[wins * p, n], out).expect("block_lhs_matmul shape")
-            },
-            &[lhs, x],
-        );
-        self.push(out, Op::BlockLhsMatmul(lhs, x, wins))
-    }
-
     /// Blockwise product of two window stacks: block `w` of
     /// `x: [W·m, k]` times block `w` of `y: [W·k, n]` -> `[W·m, n]`.
     ///
@@ -172,35 +129,6 @@ impl Tape {
         );
         self.push(out, Op::Dropout(a, mask))
     }
-}
-
-/// Gathers a window stack `[W·r, n]` into the column-concatenated
-/// layout `[r, W·n]`: element `(w·r + i, c)` lands at `(i, w·n + c)`.
-/// The result is a pooled buffer — recycle it when done. A matmul
-/// against this layout computes all `W` per-window products in one
-/// call without changing any output element's accumulation sequence.
-pub(crate) fn gather_window_cols(x: &[f64], wins: usize, r: usize, n: usize) -> Vec<f64> {
-    let mut xhat = pool::take_uninit(r * wins * n);
-    for w in 0..wins {
-        for i in 0..r {
-            xhat[i * wins * n + w * n..i * wins * n + (w + 1) * n]
-                .copy_from_slice(&x[(w * r + i) * n..(w * r + i + 1) * n]);
-        }
-    }
-    xhat
-}
-
-/// Inverse of [`gather_window_cols`]: scatters `[r, W·n]` back into the
-/// window-stacked `[W·r, n]` layout, into a fresh pooled buffer.
-pub(crate) fn scatter_window_cols(yhat: &[f64], wins: usize, r: usize, n: usize) -> Vec<f64> {
-    let mut out = pool::take_uninit(wins * r * n);
-    for w in 0..wins {
-        for i in 0..r {
-            out[(w * r + i) * n..(w * r + i + 1) * n]
-                .copy_from_slice(&yhat[i * wins * n + w * n..i * wins * n + (w + 1) * n]);
-        }
-    }
-    out
 }
 
 /// Rows per window block of a stacked operand.
@@ -330,7 +258,7 @@ mod tests {
         let tape = Tape::new();
         let lhs = tape.leaf(lhsv.clone());
         let x = tape.leaf(xv.clone());
-        let out = tape.block_lhs_matmul(lhs, x, wins);
+        let out = tape.group_block_lhs_matmul(&[lhs], x, &[wins]);
         let loss = tape.mean_all(tape.square(out));
         let grads = tape.backward(loss);
 

@@ -22,7 +22,6 @@
 //! the per-window graph's accumulation order by the pending machinery
 //! in `Grads`/`Tape::backward_into`.
 
-use crate::tape_ops_batched::{gather_window_cols, scatter_window_cols};
 use crate::{Op, Tape, Var};
 use ema_tensor::{kernels, pool, Tensor};
 
@@ -282,8 +281,14 @@ impl Tape {
     /// Per-group block-lhs product: group `b`'s own `lhs_b: [p, q]`
     /// (a per-individual graph constant or derived adjacency) times
     /// each `[q, n]` window block of its slice of `x: [Σ wins·q, n]`,
-    /// producing `[Σ wins·p, n]`. The grouped twin of
-    /// `block_lhs_matmul`; all groups must share the lhs shape.
+    /// producing `[Σ wins·p, n]`; all groups must share the lhs shape.
+    /// A constant shared by every window (attention row averaging) is
+    /// one group spanning them all. Each group's products run as
+    /// **one** kernel call on a column-permuted layout (see
+    /// `gather_window_cols`): `lhs_b · [x_0 | x_1 | … ]` computes
+    /// every block of the group at once, and each output element keeps
+    /// the exact per-window accumulation sequence (the kernel contract
+    /// makes element results independent of the output width).
     ///
     /// # Panics
     /// Panics on length/shape mismatches (see [`Tape::group_linear_blocks`]).
@@ -316,10 +321,8 @@ impl Tape {
                 let mut yhat = pool::take_uninit(p * wins * n);
                 kernels::matmul_into(lv.data(), &xhat, &mut yhat, p, q, wins * n);
                 pool::recycle(xhat);
-                let y = scatter_window_cols(&yhat, wins, p, n);
+                scatter_window_cols(&yhat, wins, p, n, &mut out[goff * n..(goff + wins * p) * n]);
                 pool::recycle(yhat);
-                out[goff * n..(goff + wins * p) * n].copy_from_slice(&y);
-                pool::recycle(y);
                 xoff += wins * q;
                 goff += wins * p;
             }
@@ -329,6 +332,33 @@ impl Tape {
             out,
             Op::GroupBlockLhsMatmul(lhses.into(), x, group_wins.into()),
         )
+    }
+}
+
+/// Gathers a window stack `[W·r, n]` into the column-concatenated
+/// layout `[r, W·n]`: element `(w·r + i, c)` lands at `(i, w·n + c)`.
+/// The result is a pooled buffer — recycle it when done. A matmul
+/// against this layout computes all `W` per-window products in one
+/// call without changing any output element's accumulation sequence.
+pub(crate) fn gather_window_cols(x: &[f64], wins: usize, r: usize, n: usize) -> Vec<f64> {
+    let mut xhat = pool::take_uninit(r * wins * n);
+    for w in 0..wins {
+        for i in 0..r {
+            xhat[i * wins * n + w * n..i * wins * n + (w + 1) * n]
+                .copy_from_slice(&x[(w * r + i) * n..(w * r + i + 1) * n]);
+        }
+    }
+    xhat
+}
+
+/// Inverse of [`gather_window_cols`]: scatters `[r, W·n]` back into the
+/// window-stacked `[W·r, n]` layout of `out`.
+pub(crate) fn scatter_window_cols(yhat: &[f64], wins: usize, r: usize, n: usize, out: &mut [f64]) {
+    for w in 0..wins {
+        for i in 0..r {
+            out[(w * r + i) * n..(w * r + i + 1) * n]
+                .copy_from_slice(&yhat[i * wins * n + w * n..i * wins * n + (w + 1) * n]);
+        }
     }
 }
 

@@ -559,13 +559,13 @@ fn grad_block_lhs_matmul_both_parents() {
     let x = rand(&[9, 4], 92);
     assert_gradients_close(&lhs, TOL, |t, v| {
         let xl = t.leaf(x.clone());
-        let p = t.block_lhs_matmul(v, xl, 3);
+        let p = t.group_block_lhs_matmul(&[v], xl, &[3]);
         let sq = t.square(p);
         t.sum_all(sq)
     });
     assert_gradients_close(&x, TOL, |t, v| {
         let ll = t.leaf(lhs.clone());
-        let p = t.block_lhs_matmul(ll, v, 3);
+        let p = t.group_block_lhs_matmul(&[ll], v, &[3]);
         let sq = t.square(p);
         t.sum_all(sq)
     });

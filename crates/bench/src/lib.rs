@@ -34,7 +34,7 @@ pub mod report;
 pub use harness::{BenchResult, Bencher, Harness};
 
 use ema_core::experiments::ExperimentScale;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Parses `--scale {tiny|quick|full}` from CLI args (default: quick).
 ///
@@ -159,18 +159,11 @@ impl Drop for ObsRun {
     }
 }
 
-/// Writes a JSON record under the workspace-root `results/<name>.json`
-/// (created on demand), returning the path. Anchored at the workspace
-/// root rather than the current directory because `cargo run` and
-/// `cargo bench` start binaries in different directories. Failures are
-/// reported but non-fatal — the table was already printed.
+/// Writes a JSON record to `<name>.json` under [`ema_obs::results_dir`]
+/// (created on demand), returning the path. Failures are reported but
+/// non-fatal — the table was already printed.
 pub fn save_json(name: &str, json: &str) -> Option<PathBuf> {
-    // crates/bench -> crates -> workspace root.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate lives two levels below the workspace root");
-    let dir = root.join("results");
+    let dir = ema_obs::results_dir();
     if let Err(e) = std::fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create results/: {e}");
         return None;

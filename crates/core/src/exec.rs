@@ -3,13 +3,10 @@
 //! The paper's workload is embarrassingly parallel — one personalized
 //! model per individual, trained independently (Eq. 1 averages
 //! per-individual MSE) — so a cohort run is a list of independent
-//! [`Job`]s, not a hand-rolled `for` loop. An [`Executor`] schedules
-//! those jobs on one of two zero-dependency backends:
-//!
-//! * [`Backend::Sequential`] — jobs run in order on the caller's
-//!   thread;
-//! * [`Backend::ThreadPool`] — a `std::thread::scope` work queue with a
-//!   fixed worker count.
+//! [`Job`]s, not a hand-rolled `for` loop. An [`Executor`] with one
+//! worker runs those jobs in order on the caller's thread; with more,
+//! it runs them on a `std::thread::scope` work queue of that many
+//! workers.
 //!
 //! Results always come back **in job order**, and every random stream a
 //! job consumes is derived up front from `(run seed, job id)` via
@@ -96,22 +93,10 @@ impl std::fmt::Display for JobError {
 /// What one job produced: its output, or the panic that killed it.
 pub type JobResult<T> = Result<T, JobError>;
 
-/// The two scheduling strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Jobs run in order on the calling thread.
-    Sequential,
-    /// Jobs are pulled from a shared queue by `threads` workers.
-    ThreadPool {
-        /// Worker count (≥ 2; 1 collapses to `Sequential`).
-        threads: usize,
-    },
-}
-
-/// Schedules [`Job`]s on a [`Backend`]; see the module docs.
+/// Schedules [`Job`]s on a fixed worker count; see the module docs.
 #[derive(Debug, Clone, Copy)]
 pub struct Executor {
-    backend: Backend,
+    threads: usize,
 }
 
 /// Process-wide `--threads` override; 0 means "not set".
@@ -152,22 +137,18 @@ impl Executor {
     /// An executor that runs jobs in order on the calling thread.
     #[must_use]
     pub fn sequential() -> Self {
-        Self { backend: Backend::Sequential }
+        Self { threads: 1 }
     }
 
-    /// An executor with exactly `threads` workers (1 collapses to the
-    /// sequential backend — same results either way).
+    /// An executor with exactly `threads` workers (1 runs the jobs on
+    /// the calling thread — same results either way).
     ///
     /// # Panics
     /// Panics if `threads` is 0.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         assert!(threads > 0, "an executor needs at least one thread");
-        if threads == 1 {
-            Self::sequential()
-        } else {
-            Self { backend: Backend::ThreadPool { threads } }
-        }
+        Self { threads }
     }
 
     /// The environment-configured executor ([`default_threads`]).
@@ -176,64 +157,38 @@ impl Executor {
         Self::with_threads(default_threads())
     }
 
-    /// The configured worker count (1 for the sequential backend).
+    /// The configured worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
-        match self.backend {
-            Backend::Sequential => 1,
-            Backend::ThreadPool { threads } => threads,
-        }
-    }
-
-    /// The scheduling strategy in use.
-    #[must_use]
-    pub fn backend(&self) -> Backend {
-        self.backend
+        self.threads
     }
 
     /// Runs every job and returns the results **in job order**. A
     /// panicking job becomes a [`JobError`] in its slot; the remaining
     /// jobs still run.
     pub fn run<T: Send>(&self, jobs: Vec<Job<'_, T>>) -> Vec<JobResult<T>> {
-        match self.backend {
-            Backend::Sequential => {
-                let recorder = ema_obs::recorder();
-                let loop_start = recorder.elapsed_ns();
-                let mut busy_ns = 0u64;
-                let mut jobs_run = 0u64;
-                let n = jobs.len();
-                let results = jobs
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, job)| {
-                        recorder.set_gauge("exec.queue_depth", (n - 1 - i) as f64);
-                        let (result, job_ns) = execute_job(job, 0);
-                        busy_ns += job_ns;
-                        jobs_run += 1;
-                        result
-                    })
-                    .collect();
-                let total_ns = recorder.elapsed_ns().saturating_sub(loop_start);
-                publish_worker_utilization(recorder, 0, jobs_run, busy_ns, total_ns);
-                results
-            }
-            Backend::ThreadPool { threads } => run_pool(jobs, threads),
+        if self.threads > 1 {
+            return run_pool(jobs, self.threads);
         }
-    }
-
-    /// Fans `f` out over `0..count` as jobs labelled
-    /// `<label>_<index>`, returning results in index order.
-    pub fn map<T, F>(&self, count: usize, label: &str, f: F) -> Vec<JobResult<T>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Send + Sync,
-    {
-        let f = &f;
-        self.run(
-            (0..count)
-                .map(|i| Job::new(format!("{label}_{i}"), move || f(i)))
-                .collect(),
-        )
+        let recorder = ema_obs::recorder();
+        let loop_start = recorder.elapsed_ns();
+        let mut busy_ns = 0u64;
+        let mut jobs_run = 0u64;
+        let n = jobs.len();
+        let results = jobs
+            .into_iter()
+            .enumerate()
+            .map(|(i, job)| {
+                recorder.set_gauge("exec.queue_depth", (n - 1 - i) as f64);
+                let (result, job_ns) = execute_job(job, 0);
+                busy_ns += job_ns;
+                jobs_run += 1;
+                result
+            })
+            .collect();
+        let total_ns = recorder.elapsed_ns().saturating_sub(loop_start);
+        publish_worker_utilization(recorder, 0, jobs_run, busy_ns, total_ns);
+        results
     }
 }
 
@@ -327,7 +282,7 @@ fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The thread-pool backend: a shared index queue over scoped threads.
+/// The multi-worker run: a shared index queue over scoped threads.
 fn run_pool<T: Send>(jobs: Vec<Job<'_, T>>, threads: usize) -> Vec<JobResult<T>> {
     let n = jobs.len();
     if n == 0 {
@@ -463,14 +418,14 @@ mod tests {
 
     #[test]
     fn map_labels_by_index() {
-        let out = Executor::with_threads(2).map(4, "ind", |i| i + 10);
+        let jobs = (0..4).map(|i| Job::new(format!("ind_{i}"), move || i + 10)).collect();
+        let out = Executor::with_threads(2).run(jobs);
         let values: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, vec![10, 11, 12, 13]);
     }
 
     #[test]
     fn single_thread_collapses_to_sequential() {
-        assert_eq!(Executor::with_threads(1).backend(), Backend::Sequential);
         assert_eq!(Executor::with_threads(1).threads(), 1);
         assert_eq!(Executor::with_threads(6).threads(), 6);
     }
@@ -523,7 +478,8 @@ mod tests {
         // dataset); the scoped pool makes the lifetime work.
         let data = vec![1.0_f64, 2.0, 4.0];
         let data = &data;
-        let out = Executor::with_threads(2).map(3, "borrow", |i| data[i] * 2.0);
+        let jobs = (0..3).map(|i| Job::new(format!("borrow_{i}"), move || data[i] * 2.0)).collect();
+        let out = Executor::with_threads(2).run(jobs);
         let values: Vec<f64> = out.into_iter().map(Result::unwrap).collect();
         assert_eq!(values, vec![2.0, 4.0, 8.0]);
     }

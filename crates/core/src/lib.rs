@@ -51,7 +51,7 @@ pub mod train;
 pub use checkpoint::Checkpoint;
 pub use cluster::{plan_clusters, ClusterPlan, TrainStrategy};
 pub use cohort::{run_cohort_batch, run_cohort_sharded, train_cohort};
-pub use exec::{Backend, Executor, Job, JobError, JobResult};
+pub use exec::{Executor, Job, JobError, JobResult};
 pub use forecast::{horizon_mse, iterative_forecast};
 pub use json::{Json, JsonError};
 pub use pipeline::{
@@ -59,5 +59,5 @@ pub use pipeline::{
     IndividualOutcome, RunSpec,
 };
 pub use results::{BoxplotStats, CellStat, ResultTable};
-pub use train::{train_model, TrainConfig, TrainReport};
-pub use ema_tensor::{set_kernel_backend, with_kernel_backend, KernelBackend, KernelScope};
+pub use train::{train_model, TrainConfig, TrainReport, EARLY_STOP_PATIENCE};
+pub use ema_tensor::{KernelBackend, KernelScope};

@@ -14,6 +14,11 @@ use ema_obs::metrics::{EPOCH_BUCKETS, GRAD_NORM_BUCKETS, LOSS_BUCKETS};
 use ema_obs::point;
 use ema_tensor::{KernelBackend, Rng64, Tensor};
 
+/// Early-stopping patience in epochs: a run with `early_stop_rel > 0`
+/// stops once its training loss has failed to improve by that relative
+/// amount for this many consecutive epochs.
+pub const EARLY_STOP_PATIENCE: usize = 25;
+
 /// Training hyper-parameters. Defaults follow the paper: Adam with
 /// lr = 0.01, one batch per individual, 300 epochs, dropout handled by
 /// the models themselves (rate 0.3).
@@ -27,13 +32,10 @@ pub struct TrainConfig {
     /// Seed for dropout masks.
     pub seed: u64,
     /// Stop early when the training loss improves by less than this
-    /// relative amount over `patience` epochs. **`0` disables early
-    /// stopping entirely** (the default), in which case `patience` is
-    /// never consulted and every run goes the full `epochs`.
+    /// relative amount over [`EARLY_STOP_PATIENCE`] epochs. **`0`
+    /// disables early stopping entirely** (the default): every run goes
+    /// the full `epochs`.
     pub early_stop_rel: f64,
-    /// Early-stopping patience in epochs. Only meaningful when
-    /// `early_stop_rel > 0`; ignored otherwise (see `early_stop_rel`).
-    pub patience: usize,
     /// Which matmul kernel backend the run executes on (default: the
     /// process resolution of `EMA_KERNEL` — SIMD where available).
     /// `Scalar` pins the bit-identity oracle regardless of environment.
@@ -59,7 +61,6 @@ impl Default for TrainConfig {
             learning_rate: 0.01,
             seed: 7,
             early_stop_rel: 0.0,
-            patience: 25,
             kernel_backend: KernelBackend::default(),
             warm_start: None,
         }
@@ -359,14 +360,14 @@ pub(crate) fn fit<G: Members + ?Sized>(
                     p.since_best = 0;
                 } else {
                     p.since_best += 1;
-                    if p.since_best >= config.patience {
+                    if p.since_best >= EARLY_STOP_PATIENCE {
                         p.early_stopped = true;
                         stays = false;
                         point!(
                             "early_stop",
                             epoch = epoch,
                             best_loss = p.best.min(loss_value),
-                            patience = config.patience,
+                            patience = EARLY_STOP_PATIENCE,
                             rel_threshold = config.early_stop_rel
                         );
                         obs.inc_counter("early_stops", 1);
@@ -499,7 +500,6 @@ mod tests {
         let mut model = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(0), None);
         let mut cfg = TrainConfig::quick(500, 2);
         cfg.early_stop_rel = 0.05; // aggressive: stop as soon as gains slow
-        cfg.patience = 5;
         let report = train_model(&mut *model, &windows, &cfg);
         assert!(report.epochs_run < 500, "early stopping never fired");
         assert!(report.early_stopped);
@@ -510,12 +510,10 @@ mod tests {
 
     #[test]
     fn disabled_early_stop_ignores_patience() {
-        // early_stop_rel = 0 (the default) must run the full schedule
-        // no matter how small `patience` is.
+        // early_stop_rel = 0 (the default) must run the full schedule.
         let windows = toy_windows(2);
         let mut model = build_model(ModelKind::Lstm, 3, 2, &ModelConfig::tiny(0), None);
-        let mut cfg = TrainConfig { epochs: 12, seed: 4, ..TrainConfig::default() };
-        cfg.patience = 1;
+        let cfg = TrainConfig { epochs: 12, seed: 4, ..TrainConfig::default() };
         assert_eq!(cfg.early_stop_rel, 0.0);
         let report = train_model(&mut *model, &windows, &cfg);
         assert_eq!(report.epochs_run, 12);

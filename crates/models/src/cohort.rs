@@ -17,6 +17,7 @@
 //! in [`CohortCtx::rngs`], so batching individuals never changes
 //! numbers.
 
+use crate::config::DROPOUT;
 use crate::Forecaster;
 use ema_autodiff::{Tape, Var};
 use ema_nn::Binding;
@@ -195,58 +196,40 @@ pub trait CohortForecaster: Forecaster {
         Self: Sized;
 }
 
-/// Grouped dropout over a cohort row stack, bit-identical per block to
-/// `Tape::dropout` on that individual alone. Group `b` spans
-/// `group_wins[b] · block_rows` rows and drops at `rate(group[b])`:
+/// Grouped dropout at the models' `DROPOUT` rate (0.3) over a cohort row stack,
+/// bit-identical per block to `Tape::dropout` on that individual alone.
+/// Group `b` spans `group_wins[b] · block_rows` rows:
 ///
-/// - not training, or every rate zero → identity (no tape node, no
-///   draws), matching `Tape::dropout`'s pass-through;
-/// - otherwise one `[Σ rows, cols]` mask is built individual-major.
-///   A rate-zero group's rows are filled with `1.0` (exact identity
-///   under `mul`, zero draws); an active group draws its mask entries
-///   row-major from **its own** stream — the exact per-individual draw
-///   sequence.
+/// - not training → identity (no tape node, no draws), matching
+///   `Tape::dropout`'s pass-through;
+/// - training → one `[Σ rows, cols]` mask built individual-major, each
+///   group drawing its mask entries row-major from **its own** stream —
+///   the exact per-individual draw sequence.
 ///
 /// # Panics
-/// Panics when slice lengths disagree or a rate is outside `[0, 1)`.
-pub fn cohort_dropout<M>(
+/// Panics when the window counts and RNG streams disagree in number.
+pub fn cohort_dropout(
     tape: &Tape,
     a: Var,
-    group: &[&M],
-    rate: impl Fn(&M) -> f64,
     group_wins: &[usize],
     block_rows: usize,
     ctx: &mut CohortCtx,
 ) -> Var {
-    assert_eq!(group.len(), group_wins.len(), "one window count per group");
-    assert_eq!(group.len(), ctx.rngs.len(), "one RNG stream per group");
-    for (b, m) in group.iter().enumerate() {
-        let rate = rate(m);
-        assert!(
-            (0.0..1.0).contains(&rate),
-            "group {b} dropout rate {rate} outside [0, 1)"
-        );
-    }
-    if !ctx.training || group.iter().all(|m| rate(m) == 0.0) {
+    assert_eq!(group_wins.len(), ctx.rngs.len(), "one RNG stream per group");
+    if !ctx.training {
         return a;
     }
     let cols = tape.cols(a);
     let total: usize = group_wins.iter().sum::<usize>() * block_rows;
     let mut mask = Tensor::zeros(&[total, cols]);
     let data = mask.data_mut();
+    let keep = 1.0 - DROPOUT;
     let mut off = 0usize;
-    for ((m, &wins), rng) in group.iter().zip(group_wins).zip(ctx.rngs.iter_mut()) {
+    for (&wins, rng) in group_wins.iter().zip(ctx.rngs.iter_mut()) {
         let rows = wins * block_rows;
-        let block = &mut data[off * cols..(off + rows) * cols];
-        let rate = rate(m);
-        if rate == 0.0 {
-            block.fill(1.0);
-        } else {
-            let keep = 1.0 - rate;
-            for v in block.iter_mut() {
-                if rng.bernoulli(keep) {
-                    *v = 1.0 / keep;
-                }
+        for v in &mut data[off * cols..(off + rows) * cols] {
+            if rng.bernoulli(keep) {
+                *v = 1.0 / keep;
             }
         }
         off += rows;

@@ -1,26 +1,21 @@
 //! Shared model hyper-parameters (paper Section V-D).
 
+/// Temporal kernel size of every model (paper Sec. V-D: k = 3);
+/// automatically reduced when a window is shorter than the kernel.
+pub(crate) const KERNEL: usize = 3;
+
+/// Dropout rate of every model (paper Sec. V-D: 0.3).
+pub(crate) const DROPOUT: f64 = 0.3;
+
 /// Hyper-parameters common to every model.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelConfig {
     /// Hidden units in every channel/layer (paper: 32).
     pub hidden: usize,
-    /// Temporal kernel size (paper: k = 3); automatically reduced when
-    /// a window is shorter than the kernel.
-    pub kernel: usize,
-    /// Dropout rate (paper: 0.3).
-    pub dropout: f64,
     /// MTGNN graph-learning embedding dimension.
     pub embed_dim: usize,
     /// MTGNN top-k neighbours kept per node in the learned graph.
     pub graph_top_k: usize,
-    /// MTGNN saturation coefficient α of the graph learner.
-    pub graph_alpha: f64,
-    /// Mix-hop retain ratio β (fraction of the input state kept at each
-    /// propagation step).
-    pub mixhop_beta: f64,
-    /// Mix-hop propagation depth.
-    pub mixhop_depth: usize,
     /// Attention projection width for attention modules.
     pub attn_dim: usize,
     /// Parameter-initialisation seed.
@@ -31,13 +26,8 @@ impl Default for ModelConfig {
     fn default() -> Self {
         Self {
             hidden: 32,
-            kernel: 3,
-            dropout: 0.3,
             embed_dim: 10,
             graph_top_k: 8,
-            graph_alpha: 3.0,
-            mixhop_beta: 0.05,
-            mixhop_depth: 2,
             attn_dim: 16,
             seed: 1,
         }
@@ -54,7 +44,6 @@ impl ModelConfig {
             graph_top_k: 3,
             attn_dim: 4,
             seed,
-            ..Self::default()
         }
     }
 }
@@ -67,8 +56,11 @@ mod tests {
     fn defaults_match_paper() {
         let c = ModelConfig::default();
         assert_eq!(c.hidden, 32);
-        assert_eq!(c.kernel, 3);
-        assert!((c.dropout - 0.3).abs() < 1e-12);
+        assert_eq!(KERNEL, 3);
+        assert!((DROPOUT - 0.3).abs() < 1e-12);
+        assert!((crate::mtgnn::GRAPH_ALPHA - 3.0).abs() < 1e-12);
+        assert!((crate::mtgnn::MIXHOP_BETA - 0.05).abs() < 1e-12);
+        assert_eq!(crate::mtgnn::MIXHOP_DEPTH, 2);
     }
 
     #[test]

@@ -16,8 +16,14 @@
 //! Training and evaluation run one forward for every model, the
 //! grouped [`CohortForecaster::predict_cohort`] over all windows of one
 //! or more individuals; [`Forecaster::predict_window`] is the
-//! per-window reference it is tested against. Model hyper-parameters
-//! follow Section V-D: 32 hidden units, kernel 3, dropout 0.3.
+//! per-window reference it is tested against.
+//!
+//! Model hyper-parameters follow Section V-D: 32 hidden units
+//! ([`ModelConfig::hidden`]) and two crate constants shared by every
+//! model, temporal kernel `KERNEL = 3` and `DROPOUT = 0.3`. MTGNN's
+//! graph learner and mix-hop propagation use Wu et al.'s (KDD 2020)
+//! constants `GRAPH_ALPHA = 3.0`, `MIXHOP_BETA = 0.05` and
+//! `MIXHOP_DEPTH = 2`.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,7 @@
 //! The baseline LSTM forecaster (paper Experiment A).
 
 use crate::cohort::{cohort_dropout, CohortBatch, CohortCtx, CohortForecaster};
+use crate::config::DROPOUT;
 use crate::{Forecaster, ForwardCtx, ModelConfig};
 use ema_autodiff::{Tape, Var};
 use ema_nn::{Binding, Linear, LstmCell, ParamStore};
@@ -15,7 +16,6 @@ pub struct LstmForecaster {
     store: ParamStore,
     cell: LstmCell,
     head: Linear,
-    dropout: f64,
     num_variables: usize,
 }
 
@@ -31,7 +31,6 @@ impl LstmForecaster {
             store,
             cell,
             head,
-            dropout: config.dropout,
             num_variables,
         }
     }
@@ -77,7 +76,7 @@ impl Forecaster for LstmForecaster {
         let state = self.cell.zero_state(tape, 1);
         let states = self.cell.run_sequence(tape, binding, &xs, state);
         let last = *states.last().expect("non-empty window");
-        let dropped = tape.dropout(last, self.dropout, ctx.training, ctx.rng);
+        let dropped = tape.dropout(last, DROPOUT, ctx.training, ctx.rng);
         let pred = self.head.forward(tape, binding, dropped); // [1, V]
         tape.flatten(pred)
     }
@@ -125,7 +124,7 @@ impl CohortForecaster for LstmForecaster {
         let states =
             LstmCell::run_sequence_grouped(&cells, tape, bindings, &xs, state, batch.group_wins());
         let last = *states.last().expect("non-empty window");
-        let dropped = cohort_dropout(tape, last, group, |m| m.dropout, batch.group_wins(), 1, ctx);
+        let dropped = cohort_dropout(tape, last, batch.group_wins(), 1, ctx);
         let heads: Vec<(Var, Var)> = group
             .iter()
             .zip(bindings)

@@ -21,7 +21,7 @@ use ema_autodiff::{Grads, Tape};
 use ema_graph::AdjacencyMatrix;
 use ema_models::{build_model, CohortBatch, CohortCtx, ModelConfig, ModelKind};
 use ema_nn::Adam;
-use ema_tensor::{with_kernel_backend, KernelBackend, Rng64, Tensor};
+use ema_tensor::{KernelBackend, Rng64, Tensor};
 
 const V: usize = 8;
 const SEQ: usize = 4;
@@ -43,48 +43,47 @@ struct Trained {
 /// plus eval-mode predictions — everything computed under
 /// `backend`. Mirrors the steady-state loop in `ema_core::train_model`.
 fn train_under(kind: ModelKind, seed: u64, backend: KernelBackend) -> Trained {
-    with_kernel_backend(backend, || {
-        let cfg = ModelConfig::tiny(seed);
-        let graph = AdjacencyMatrix::complete(V);
-        let g = if kind.uses_graph() { Some(&graph) } else { None };
-        let mut model = build_model(kind, V, SEQ, &cfg, g);
+    let _scope = backend.scoped();
+    let cfg = ModelConfig::tiny(seed);
+    let graph = AdjacencyMatrix::complete(V);
+    let g = if kind.uses_graph() { Some(&graph) } else { None };
+    let mut model = build_model(kind, V, SEQ, &cfg, g);
 
-        let mut data_rng = Rng64::seed_from(seed ^ 0xA5A5_5A5A);
-        let windows: Vec<Tensor> = (0..WINS)
-            .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
-            .collect();
-        let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
-        let batch = CohortBatch::from_windows(&[&windows]);
+    let mut data_rng = Rng64::seed_from(seed ^ 0xA5A5_5A5A);
+    let windows: Vec<Tensor> = (0..WINS)
+        .map(|_| Tensor::rand_normal(&[SEQ, V], 0.0, 1.0, &mut data_rng))
+        .collect();
+    let targets = Tensor::rand_normal(&[WINS, V], 0.0, 1.0, &mut data_rng);
+    let batch = CohortBatch::from_windows(&[&windows]);
 
-        let mut adam = Adam::new(0.01);
-        let mut drop_rng = [Rng64::seed_from(seed.wrapping_add(13))];
-        let mut tape = Tape::new();
-        let mut grads = Grads::empty();
-        let tgt = tape.leaf(targets.clone());
-        let keep = tape.len();
+    let mut adam = Adam::new(0.01);
+    let mut drop_rng = [Rng64::seed_from(seed.wrapping_add(13))];
+    let mut tape = Tape::new();
+    let mut grads = Grads::empty();
+    let tgt = tape.leaf(targets.clone());
+    let keep = tape.len();
 
-        let mut final_loss = f64::NAN;
-        for _ in 0..EPOCHS {
-            tape.reset_to(keep);
-            let binding = model.params().bind(&tape);
-            let mut ctx = CohortCtx::train(&mut drop_rng);
-            let stacked = model.predict_member(&tape, &binding, &batch, &mut ctx);
-            let loss = tape.mse(stacked, tgt);
-            tape.backward_into(loss, &mut grads);
-            adam.step(model.params_mut(), &binding, &grads);
-            final_loss = tape.value(loss).data()[0];
-        }
-
+    let mut final_loss = f64::NAN;
+    for _ in 0..EPOCHS {
         tape.reset_to(keep);
         let binding = model.params().bind(&tape);
-        let mut eval_rng = [Rng64::seed_from(0)];
-        let mut ctx = CohortCtx::eval(&mut eval_rng);
-        let out = model.predict_member(&tape, &binding, &batch, &mut ctx);
-        Trained {
-            final_loss,
-            predictions: tape.value(out),
-        }
-    })
+        let mut ctx = CohortCtx::train(&mut drop_rng);
+        let stacked = model.predict_member(&tape, &binding, &batch, &mut ctx);
+        let loss = tape.mse(stacked, tgt);
+        tape.backward_into(loss, &mut grads);
+        adam.step(model.params_mut(), &binding, &grads);
+        final_loss = tape.value(loss).data()[0];
+    }
+
+    tape.reset_to(keep);
+    let binding = model.params().bind(&tape);
+    let mut eval_rng = [Rng64::seed_from(0)];
+    let mut ctx = CohortCtx::eval(&mut eval_rng);
+    let out = model.predict_member(&tape, &binding, &batch, &mut ctx);
+    Trained {
+        final_loss,
+        predictions: tape.value(out),
+    }
 }
 
 #[test]

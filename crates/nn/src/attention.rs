@@ -120,8 +120,8 @@ impl TemporalAttention {
         let total_wins: usize = group_wins.iter().sum();
         let n = tape.dims(states[0])[0] / total_wins;
         // Row-averaging matrix [1, n]; shared across windows and
-        // individuals (its own gradient is never read), so the shared
-        // block-lhs op applies with wins = Σ W_b.
+        // individuals (its own gradient is never read), so one group
+        // spanning all Σ W_b windows applies it.
         let avg = tape.leaf(Tensor::filled(&[1, n], 1.0 / n as f64));
         let params: Vec<(Var, Var)> = attns
             .iter()
@@ -136,7 +136,7 @@ impl TemporalAttention {
         let mut scores = Vec::with_capacity(states.len());
         for &h in states {
             assert_eq!(tape.dims(h)[1], hidden, "hidden width mismatch in attention");
-            let mean_h = tape.block_lhs_matmul(avg, h, total_wins); // [Σ W_b, H]
+            let mean_h = tape.group_block_lhs_matmul(&[avg], h, &[total_wins]); // [Σ W_b, H]
             let proj = tape.group_linear(mean_h, &params, group_wins); // [Σ W_b, A]
             let act = tape.tanh(proj);
             // Grouped replay: each window's score pieces fold into one

@@ -42,7 +42,7 @@ pub mod profile;
 pub mod trace;
 
 pub use json::{write_f64, Json, JsonError};
-pub use manifest::default_obs_dir;
+pub use manifest::{default_obs_dir, results_dir};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use profile::{Profile, ProfileNode};
 pub use trace::{

@@ -52,19 +52,34 @@ impl RunState {
     }
 }
 
-/// The workspace-anchored obs output directory, `results/obs/` at the
-/// repository root. Anchored via the crate's manifest dir (not the
-/// CWD) because `cargo run`, `cargo bench` and `cargo test` start
-/// binaries in different directories — the same fix the bench harness
-/// uses for `results/`.
+/// The `results/` directory every recorded artifact (tables, bench
+/// records, obs manifests) lands in: under the first ancestor of the
+/// current directory whose `Cargo.toml` declares `[workspace]`, else
+/// `./results`. `cargo run`, `cargo bench` and `cargo test` start
+/// binaries in different directories of one workspace, and all of them
+/// resolve to its root; resolving at run time keeps a copied build
+/// writing into its own checkout.
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    results_dir_from(&std::env::current_dir().unwrap_or_default())
+}
+
+fn results_dir_from(start: &Path) -> PathBuf {
+    let declares_workspace = |dir: &Path| {
+        fs::read_to_string(dir.join("Cargo.toml"))
+            .is_ok_and(|manifest| manifest.lines().any(|line| line.trim() == "[workspace]"))
+    };
+    start
+        .ancestors()
+        .find(|dir| declares_workspace(dir))
+        .unwrap_or(start)
+        .join("results")
+}
+
+/// The obs output directory, `obs/` under [`results_dir`].
 #[must_use]
 pub fn default_obs_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crate lives two levels below the workspace root")
-        .join("results")
-        .join("obs")
+    results_dir().join("obs")
 }
 
 impl Recorder {
@@ -405,5 +420,26 @@ mod tests {
         assert_eq!(first.require("note").unwrap().to_str().unwrap(), "hello");
         rec.finish_run();
         assert!(dir.join("second.summary.json").exists());
+    }
+
+    #[test]
+    fn results_dir_is_under_the_nearest_workspace_root() {
+        let tmp = std::env::temp_dir().join(format!("ema-obs-results-dir-{}", std::process::id()));
+        let outer = tmp.join("outer");
+        let inner = outer.join("inner");
+        let member_src = inner.join("crates").join("a").join("src");
+        fs::create_dir_all(&member_src).unwrap();
+        fs::write(outer.join("Cargo.toml"), "[workspace]\n").unwrap();
+        fs::write(inner.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n").unwrap();
+        fs::write(inner.join("crates/a/Cargo.toml"), "[package]\nname = \"a\"\n").unwrap();
+        assert_eq!(results_dir_from(&member_src), inner.join("results"));
+        assert_eq!(results_dir_from(&inner), inner.join("results"));
+
+        // No workspace manifest above: `./results` of the start dir.
+        let lone = tmp.join("lone");
+        fs::create_dir_all(&lone).unwrap();
+        fs::write(lone.join("Cargo.toml"), "[package]\nname = \"lone\"\n").unwrap();
+        assert_eq!(results_dir_from(&lone), lone.join("results"));
+        fs::remove_dir_all(&tmp).unwrap();
     }
 }

@@ -16,13 +16,11 @@
 //!
 //! Resolution order for [`KernelBackend::active`]:
 //!
-//! 1. a thread-local scope installed by [`KernelBackend::scoped`] /
-//!    [`with_kernel_backend`] (how `TrainConfig::kernel_backend` pins a
-//!    training run, and how equivalence tests compare backends without
-//!    racing each other);
-//! 2. the process-wide default: [`set_kernel_backend`] if called, else
-//!    the `EMA_KERNEL` environment knob (`scalar` | `simd` | `auto`,
-//!    resolved once);
+//! 1. a thread-local scope installed by [`KernelBackend::scoped`] (how
+//!    `TrainConfig::kernel_backend` pins a training run, and how
+//!    equivalence tests compare backends without racing each other);
+//! 2. the process default, resolved once from the `EMA_KERNEL`
+//!    environment knob (`scalar` | `simd` | `auto`);
 //! 3. `auto` (also the fallback for unset/unknown values): `Simd` where
 //!    AVX2+FMA are available, `Scalar` otherwise.
 //!
@@ -33,7 +31,8 @@
 //! every thread count.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 
 /// Which matmul accumulation kernel the tensor crate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -45,10 +44,6 @@ pub enum KernelBackend {
     /// multiply-add — the hot path where the hardware supports it.
     Simd,
 }
-
-/// Process-default encoding: 0 = unresolved (read `EMA_KERNEL` on
-/// first use), 1 = scalar, 2 = simd.
-static GLOBAL: AtomicU8 = AtomicU8::new(0);
 
 thread_local! {
     /// Innermost thread-local scope, if any (see [`KernelBackend::scoped`]).
@@ -62,7 +57,6 @@ impl KernelBackend {
     pub fn simd_available() -> bool {
         #[cfg(target_arch = "x86_64")]
         {
-            use std::sync::OnceLock;
             static AVAILABLE: OnceLock<bool> = OnceLock::new();
             *AVAILABLE.get_or_init(|| {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -84,24 +78,6 @@ impl KernelBackend {
         match chosen {
             Self::Simd if Self::simd_available() => Self::Simd,
             _ => Self::Scalar,
-        }
-    }
-
-    /// Resolves the `EMA_KERNEL` environment knob: `scalar`, `simd`,
-    /// or `auto` (the default for unset or unrecognized values) —
-    /// `auto` picks `Simd` where available, `Scalar` otherwise.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("EMA_KERNEL").as_deref() {
-            Ok("scalar") => Self::Scalar,
-            Ok("simd") => Self::Simd,
-            _ => {
-                if Self::simd_available() {
-                    Self::Simd
-                } else {
-                    Self::Scalar
-                }
-            }
         }
     }
 
@@ -130,43 +106,24 @@ impl KernelBackend {
 
 /// The default backend is the thread's active one — so values plumbed
 /// through configs (e.g. `TrainConfig::kernel_backend`) inherit the
-/// `EMA_KERNEL` / [`set_kernel_backend`] resolution at construction.
+/// `EMA_KERNEL` resolution at construction.
 impl Default for KernelBackend {
     fn default() -> Self {
         Self::active()
     }
 }
 
+/// The process default: the `EMA_KERNEL` environment knob, read once —
+/// `scalar`, `simd`, or `auto` (the default for unset or unrecognized
+/// values), which picks `Simd` where available and `Scalar` otherwise.
 fn global_default() -> KernelBackend {
-    match GLOBAL.load(Ordering::Relaxed) {
-        1 => KernelBackend::Scalar,
-        2 => KernelBackend::Simd,
-        _ => {
-            let resolved = KernelBackend::from_env();
-            // Racing first uses resolve the same env value; last store
-            // wins with an identical byte.
-            set_kernel_backend(resolved);
-            resolved
-        }
-    }
-}
-
-/// Sets the process-wide default backend (overriding `EMA_KERNEL`).
-/// Thread-local scopes still win. Prefer [`KernelBackend::scoped`] in
-/// tests — a global flip mid-run changes other threads' kernels.
-pub fn set_kernel_backend(backend: KernelBackend) {
-    let code = match backend {
-        KernelBackend::Scalar => 1,
-        KernelBackend::Simd => 2,
-    };
-    GLOBAL.store(code, Ordering::Relaxed);
-}
-
-/// Runs `f` with `backend` active on the current thread (see
-/// [`KernelBackend::scoped`]).
-pub fn with_kernel_backend<R>(backend: KernelBackend, f: impl FnOnce() -> R) -> R {
-    let _scope = backend.scoped();
-    f()
+    static GLOBAL: OnceLock<KernelBackend> = OnceLock::new();
+    *GLOBAL.get_or_init(|| match std::env::var("EMA_KERNEL").as_deref() {
+        Ok("scalar") => KernelBackend::Scalar,
+        Ok("simd") => KernelBackend::Simd,
+        _ if KernelBackend::simd_available() => KernelBackend::Simd,
+        _ => KernelBackend::Scalar,
+    })
 }
 
 /// RAII guard restoring the previous thread-local backend scope on
@@ -317,7 +274,8 @@ mod tests {
     fn with_kernel_backend_restores_on_unwind() {
         let base = KernelBackend::active();
         let result = std::panic::catch_unwind(|| {
-            with_kernel_backend(KernelBackend::Scalar, || panic!("boom"))
+            let _scope = KernelBackend::Scalar.scoped();
+            panic!("boom")
         });
         assert!(result.is_err());
         assert_eq!(KernelBackend::active(), base);

@@ -32,8 +32,7 @@
 //! accumulation sequence, the fused kernels stay bit-identical to
 //! their composed forms **within whichever backend is active**; only
 //! cross-backend comparisons are tolerance-based. Backend selection:
-//! `EMA_KERNEL` env knob / [`crate::backend::set_kernel_backend`] /
-//! [`KernelBackend::scoped`] — see `backend.rs`.
+//! `EMA_KERNEL` env knob / [`KernelBackend::scoped`] — see `backend.rs`.
 
 use crate::backend::KernelBackend;
 use crate::{kernels, pool, Shape, Tensor};

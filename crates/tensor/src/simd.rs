@@ -218,7 +218,10 @@ mod tests {
         // 37 columns = 32-tile + 4-tile + 1 tail; 9 rows, k = 13.
         let a = Tensor::rand_normal(&[9, 13], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[13, 37], 0.0, 1.0, &mut rng);
-        let got = crate::backend::with_kernel_backend(KernelBackend::Simd, || a.matmul(&b));
+        let got = {
+            let _scope = KernelBackend::Simd.scoped();
+            a.matmul(&b)
+        };
         assert_eq!(got.data(), naive_fma_matmul(&a, &b).as_slice());
     }
 
@@ -232,7 +235,10 @@ mod tests {
         // the blocked path; its j spans are 64 (32+32) and 1 (tail).
         let a = Tensor::rand_normal(&[64, 64], 0.0, 1.0, &mut rng);
         let b = Tensor::rand_normal(&[64, 65], 0.0, 1.0, &mut rng);
-        let got = crate::backend::with_kernel_backend(KernelBackend::Simd, || a.matmul(&b));
+        let got = {
+            let _scope = KernelBackend::Simd.scoped();
+            a.matmul(&b)
+        };
         assert_eq!(got.data(), naive_fma_matmul(&a, &b).as_slice());
     }
 }

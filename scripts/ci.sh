@@ -49,6 +49,19 @@ echo "==> e2ebench (build + selftest)"
 cargo build --offline --release --manifest-path e2ebench/Cargo.toml
 cargo test --offline --release --manifest-path e2ebench/Cargo.toml -q
 
+echo "==> e2ebench outcome digests (default backend and EMA_KERNEL=scalar)"
+# One pass of every workload at the default seed. The binary exits 1
+# when the pass's outcome digest or its oracle sample differs from the
+# one recorded in e2ebench/digests.json, so a change in the bits fails
+# CI, not only the benchmark pipeline.
+for kernel in auto scalar; do
+  for workload in paper_quick cohort_stream warmstart_stream; do
+    EMA_KERNEL=$kernel cargo run --offline --release --quiet \
+      --manifest-path e2ebench/Cargo.toml -- \
+      --workload "$workload" --seconds 0 --trace 0 > /dev/null
+  done
+done
+
 echo "==> cargo test (EMA_KERNEL=scalar)"
 # The whole suite once per kernel backend: the scalar bit-identity
 # oracle and the SIMD hot path (on machines without AVX2+FMA the simd

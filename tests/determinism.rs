@@ -10,7 +10,7 @@ use ema_core::experiments::ExperimentScale;
 use ema_core::pipeline::{run_cohort_with, GraphSpec};
 use ema_core::results::{CellStat, ResultTable};
 use ema_core::{graph_for_individual, ClusterPlan, Executor, IndividualOutcome, RunSpec};
-use ema_core::{KernelBackend, TrainConfig};
+use ema_core::{KernelBackend, TrainConfig, EARLY_STOP_PATIENCE};
 use ema_data::{make_test_windows, make_windows, split_train_test, EmaDataset, WindowedData};
 use ema_graph::sparsify::DensityThreshold;
 use ema_models::{
@@ -138,7 +138,7 @@ fn per_window_train(
                 since_best = 0;
             } else {
                 since_best += 1;
-                if since_best >= config.patience {
+                if since_best >= EARLY_STOP_PATIENCE {
                     break;
                 }
             }
